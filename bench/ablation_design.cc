@@ -1,4 +1,4 @@
-// Ablation bench for the design decisions DESIGN.md marks ✦:
+// Ablation bench for three design decisions the figures rest on:
 //   1. commit policy: WFB vs WFC occupancy and IPC on representative
 //      profiles (the "benefit from doing WFB is small" claim, §IV-B);
 //   2. direction predictor flavour: bimodal / gshare / perceptron effect

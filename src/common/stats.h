@@ -60,18 +60,21 @@ class Histogram {
     bucket_add(sample, 1);
   }
 
-  /// Equivalent to record(), but run-length batched for per-cycle
-  /// sampling loops: consecutive equal samples cost one increment and are
-  /// folded into the buckets lazily (every reader flushes first), so the
-  /// resulting statistics are bit-identical to per-sample record() calls.
-  void record_run(std::uint64_t sample) {
+  /// Equivalent to `n` record(sample) calls (none when n == 0), but
+  /// run-length batched for per-cycle sampling loops: consecutive equal
+  /// samples cost one addition and are folded into the buckets lazily
+  /// (every reader flushes first), so the resulting statistics are
+  /// bit-identical to per-sample record() calls. A large `n` records a
+  /// whole stretch of skipped idle cycles at once.
+  void record_run(std::uint64_t sample, std::uint64_t n = 1) {
+    if (n == 0) return;
     if (run_len_ != 0 && sample == run_value_) {
-      ++run_len_;
+      run_len_ += n;
       return;
     }
     flush_run();
     run_value_ = sample;
-    run_len_ = 1;
+    run_len_ = n;
   }
 
   std::uint64_t count() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "common/log.h"
 
@@ -78,7 +79,9 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
           static_cast<std::size_t>(kFetchBufferCap + config_.fetch_width)) {
   fetch_pc_ = program_->entry();
   unresolved_branches_.reserve(static_cast<std::size_t>(config_.rob_entries));
-  waiting_.reserve(static_cast<std::size_t>(config_.iq_entries));
+  completions_.reserve(static_cast<std::size_t>(config_.rob_entries));
+  ready_.reserve(static_cast<std::size_t>(config_.iq_entries));
+  promote_events_.reserve(static_cast<std::size_t>(config_.rob_entries));
   if (config_.dib_lines > 0) {
     std::size_t lines = 1;
     while (lines < static_cast<std::size_t>(config_.dib_lines)) lines *= 2;
@@ -121,58 +124,52 @@ void Core::invalidate_dib() {
   dib_last_line_ = ~Addr{0};
 }
 
-StopReason Core::run(Cycle max_cycles, std::uint64_t max_instrs) {
-  const Cycle deadline = cycle_ + max_cycles;
-  std::uint64_t committed_at_start = stats_.committed_instrs;
-  Cycle last_progress = cycle_;
-  std::uint64_t last_committed = stats_.committed_instrs;
-
-  while (!halted_) {
-    if (cycle_ >= deadline) {
-      stop_reason_ = StopReason::kMaxCycles;
-      break;
-    }
-    if (stats_.committed_instrs - committed_at_start >= max_instrs) {
-      stop_reason_ = StopReason::kMaxInstrs;
-      break;
-    }
-    step();
-    if (stats_.committed_instrs != last_committed) {
-      last_committed = stats_.committed_instrs;
-      last_progress = cycle_;
-    } else if (cycle_ - last_progress > 100'000) {
-      // Deadlock backstop: nothing committed for a long time. This only
-      // fires on malformed programs (e.g. committed control flow ran off
-      // the end of the text without a halt).
-      stop_reason_ = StopReason::kFaultNoHandler;
-      LOG_WARN("core wedged at pc=0x" << std::hex << fetch_pc_);
-      break;
-    }
-    // Committed control flow reached a pc with no instruction: the front
-    // end is stalled with an empty pipeline and can never refill.
-    if (fetch_stalled_ && rob_.empty() && fetch_queue_.empty() && !halted_) {
-      stop_reason_ = StopReason::kFaultNoHandler;
-      break;
-    }
-  }
-  return stop_reason_;
-}
-
 void Core::step() {
+  acted_ = false;
   stage_complete();
   stage_commit();
   stage_issue();
   stage_dispatch();
   stage_fetch();
+  advance_clock(1);
+}
 
-  if (protection_on()) {
-    shadow_dcache_.sample_occupancy();
-    shadow_icache_.sample_occupancy();
-    shadow_dtlb_.sample_occupancy();
-    shadow_itlb_.sample_occupancy();
+Cycle Core::quiet_until() const {
+  if (acted_) return cycle_;
+  // A quiet cycle changed nothing, so the next one can differ only where
+  // a gate compares against the clock. Gates that are already open but
+  // held shut by pipeline state (a full window, a stalled front end)
+  // reopen only through some other stage acting.
+  Cycle wake = kNeverCycle;
+  if (!completions_.empty()) wake = completions_.front().first;
+  if (!rob_.empty() && rob_.front().state == InstState::kDone) {
+    wake = std::min(wake, rob_.front().done_cycle +
+                              static_cast<Cycle>(config_.commit_delay));
   }
-  ++cycle_;
-  ++stats_.cycles;
+  if (!fetch_queue_.empty() && fetch_queue_.front().ready_at >= cycle_) {
+    wake = std::min(wake, fetch_queue_.front().ready_at);
+  }
+  if (!fetch_stalled_ && fetch_busy_until_ >= cycle_) {
+    wake = std::min(wake, fetch_busy_until_);
+  }
+  assert(wake >= cycle_);
+  return wake;
+}
+
+void Core::skip_quiet(Cycle n) {
+  assert(n == 0 || cycle_ + n <= quiet_until());
+  advance_clock(n);
+}
+
+void Core::advance_clock(Cycle n) {
+  if (protection_on()) {
+    shadow_dcache_.sample_occupancy(n);
+    shadow_icache_.sample_occupancy(n);
+    shadow_dtlb_.sample_occupancy(n);
+    shadow_itlb_.sample_occupancy(n);
+  }
+  cycle_ += n;
+  stats_.cycles += n;
 }
 
 // --------------------------------------------------------------------------
@@ -180,32 +177,23 @@ void Core::step() {
 // --------------------------------------------------------------------------
 
 void Core::stage_complete() {
-  // Nothing in flight can have finished yet: skip the walk entirely.
-  // next_complete_cycle_ is a lower bound on the earliest completion
-  // (kept at issue time), so this gate never delays a writeback — it
-  // only removes the empty full-ROB scans that dominate memory-bound
-  // phases, where the window sits blocked behind a long-latency load.
-  if (cycle_ < next_complete_cycle_) return;
-  Cycle next = kNeverCycle;
-  for (std::size_t i = 0; i < rob_.size(); ++i) {
-    DynInst& di = rob_[i];
-    if (di.state != InstState::kIssued) continue;
-    if (di.done_cycle > cycle_) {
-      next = std::min(next, di.done_cycle);
-      continue;
-    }
-    di.state = InstState::kDone;
-    if (di.inst.writes_register()) wake_dependents(di);
-    if (di.is_branch()) {
-      resolve_branch(di);
-      if (di.mispredicted) {
-        // Everything younger is gone; nothing further to complete. The
-        // older in-flight entries were already folded into `next`.
-        break;
-      }
-    }
+  // Pops exactly the entries finishing this cycle, oldest first — the
+  // order a ROB walk would visit them in. A mispredicted branch squashes
+  // everything younger, which also leaves the heap.
+  while (!completions_.empty() && completions_.front().first == cycle_) {
+    const SeqNum seq = completions_.front().second;
+    std::pop_heap(completions_.begin(), completions_.end(),
+                  std::greater<>{});
+    completions_.pop_back();
+    DynInst* di = find_by_seq(seq);
+    assert(di != nullptr && di->state == InstState::kIssued &&
+           di->done_cycle == cycle_);
+    acted_ = true;
+    di->state = InstState::kDone;
+    if (di->inst.writes_register()) wake_dependents(*di);
+    if (di->is_branch()) resolve_branch(*di);
   }
-  next_complete_cycle_ = next;
+  assert(completions_.empty() || completions_.front().first > cycle_);
 }
 
 void Core::resolve_branch(DynInst& di) {
@@ -233,6 +221,7 @@ void Core::resolve_branch(DynInst& di) {
       return;
   }
   di.branch_resolved = true;
+  note_eligible(di.seq);
   erase_seq(unresolved_branches_, di.seq);
 
   // Resolution-time training — the path an attacker mistrains through.
@@ -256,22 +245,33 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
     if (victim.is_branch()) erase_seq(unresolved_branches_, victim.seq);
     if (victim.is_load()) --loads_in_flight_;
     if (victim.is_store()) --stores_in_flight_;
-    if (victim.state == InstState::kWaiting) erase_seq(waiting_, victim.seq);
+    if (victim.state == InstState::kWaiting) --iq_occupancy_;
     if (victim.inst.op == OpClass::kFence) fence_active_ = false;
     ++stats_.squashed_instrs;
     rob_.pop_back();
   }
   // Rewind numbering over the squashed suffix so ROB seqs stay contiguous
   // (the invariant find_by_seq's O(1) slot math relies on). Safe — every
-  // reference to a squashed seq was erased above, and relabeling future
+  // reference to a squashed seq is erased here, and relabeling future
   // instructions preserves all age comparisons.
   next_seq_ = seq + 1;
-  // The WFB sweep hint may have advanced past `seq` (the squashed suffix
-  // was promotable); instructions dispatched after the rewind reuse those
-  // seqs, so clamp the hint or the sweep would skip them — promoting
-  // their shadow state only at commit and silently shifting WFB timing
-  // and occupancy on every fault-handler recovery.
-  promoted_below_seq_ = std::min(promoted_below_seq_, next_seq_);
+  const auto squashed = [seq](SeqNum s) { return s > seq; };
+  completions_.erase(
+      std::remove_if(completions_.begin(), completions_.end(),
+                     [&](const auto& c) { return squashed(c.second); }),
+      completions_.end());
+  std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
+  ready_.erase(std::upper_bound(ready_.begin(), ready_.end(), seq),
+               ready_.end());
+  promote_events_.erase(std::remove_if(promote_events_.begin(),
+                                       promote_events_.end(), squashed),
+                        promote_events_.end());
+  // The WFB scan point may lie past `seq` (the squashed suffix was
+  // promotable); instructions dispatched after the rewind reuse those
+  // seqs, so pull it back or the sweep would skip them — promoting their
+  // shadow state only at commit and silently shifting WFB timing and
+  // occupancy on every fault-handler recovery.
+  promote_scan_ = std::min(promote_scan_, next_seq_);
   // Wrong-path decoded instructions also hold shadow references.
   for (FetchedInst& fi : fetch_queue_) {
     if (fi.shadow_iline != DynInst::kNoShadow) {
@@ -313,34 +313,7 @@ void Core::rebuild_rename_map() {
 // --------------------------------------------------------------------------
 
 void Core::stage_commit() {
-  // WFB promotion sweep: an instruction's shadow state becomes commitable
-  // once no older branch remains unresolved (§III "wait-for-branch").
-  // Promotable entries are exactly those older than the oldest unresolved
-  // branch (the frontier — non-decreasing over a run), so the sweep only
-  // walks [promoted_below_seq_, frontier): everything before the hint was
-  // promoted by an earlier sweep, everything at or past the frontier has
-  // an older unresolved branch (or is the unresolved branch itself).
-  if (promote_at_resolution_ && !rob_.empty()) {
-    const SeqNum front_seq = rob_.front().seq;
-    const SeqNum frontier = unresolved_branches_.empty()
-                                ? rob_.back().seq + 1
-                                : unresolved_branches_.front();
-    SeqNum new_hint = frontier;
-    for (SeqNum seq = std::max(promoted_below_seq_, front_seq);
-         seq < frontier; ++seq) {
-      DynInst& di = rob_[static_cast<std::size_t>(seq - front_seq)];
-      // Not yet promotable: still waiting to issue, or a jump/call whose
-      // own resolution (hence squash-or-survive fate) is not in. The
-      // sweep must revisit it, so the hint stops short of it.
-      if (di.state == InstState::kWaiting ||
-          (di.is_branch() && !di.branch_resolved)) {
-        new_hint = std::min(new_hint, seq);
-        continue;
-      }
-      if (!di.shadow_promoted) promote_shadow(di);
-    }
-    promoted_below_seq_ = new_hint;
-  }
+  if (promote_at_resolution_ && !rob_.empty()) promote_eligible();
 
   for (int n = 0; n < config_.commit_width && !rob_.empty(); ++n) {
     DynInst& head = rob_.front();
@@ -350,6 +323,7 @@ void Core::stage_commit() {
       break;
     }
 
+    acted_ = true;
     if (head.fault != Fault::kNone) {
       raise_fault(head);
       return;  // pipeline redirected; stop committing this cycle
@@ -432,8 +406,44 @@ void Core::raise_fault(DynInst& head) {
   }
 }
 
-bool Core::older_unresolved_branch_exists(SeqNum seq) const {
-  return !unresolved_branches_.empty() && unresolved_branches_.front() < seq;
+void Core::promote_eligible() {
+  // An instruction's shadow state becomes commitable once no older branch
+  // remains unresolved (§III "wait-for-branch") and its own fate is in:
+  // it has issued, and a jump/call/branch has resolved. Everything at or
+  // past the frontier has an older unresolved branch (or is one).
+  const SeqNum front_seq = rob_.front().seq;
+  const SeqNum frontier = unresolved_branches_.empty()
+                              ? rob_.back().seq + 1
+                              : unresolved_branches_.front();
+  assert(frontier >= promote_scan_);
+  const auto promote = [&](DynInst& di) {
+    if (di.shadow_promoted) return;
+    promote_shadow(di);
+    acted_ = true;
+  };
+  // Entries an earlier sweep passed while ineligible and that became
+  // eligible since. All lie below the scan point, so visiting them first
+  // keeps promotions in age order.
+  if (!promote_events_.empty()) {
+    std::sort(promote_events_.begin(), promote_events_.end());
+    for (const SeqNum seq : promote_events_) {
+      DynInst& di = rob_[static_cast<std::size_t>(seq - front_seq)];
+      assert(seq < promote_scan_ && di.state != InstState::kWaiting &&
+             (!di.is_branch() || di.branch_resolved));
+      promote(di);
+    }
+    promote_events_.clear();
+  }
+  // The range the frontier uncovered since the last sweep.
+  for (SeqNum seq = std::max(promote_scan_, front_seq); seq < frontier;
+       ++seq) {
+    DynInst& di = rob_[static_cast<std::size_t>(seq - front_seq)];
+    if (di.state != InstState::kWaiting &&
+        (!di.is_branch() || di.branch_resolved)) {
+      promote(di);
+    }
+  }
+  promote_scan_ = frontier;
 }
 
 void Core::erase_seq(std::vector<SeqNum>& seqs, SeqNum seq) {
@@ -549,32 +559,37 @@ void Core::release_shadow(DynInst& di) {
 // --------------------------------------------------------------------------
 
 void Core::stage_issue() {
-  // Walk only the waiting (dispatched, unissued) entries — waiting_ is
-  // seq-ordered, so candidates are visited oldest-first exactly as a full
-  // ROB scan would.
+  // Visit only entries whose operands are all ready, oldest first. One
+  // that still cannot issue — a fence not at the head, a load behind an
+  // older store of unknown address — waits on another stage acting; a
+  // kStall retry counts as acting (it touches the TLBs and stall counts).
+  const std::uint64_t stalls_before = stats_.shadow_stall_cycles;
   int issued = 0;
-  for (std::size_t w = 0;
-       w < waiting_.size() && issued < config_.issue_width;) {
-    DynInst* di = find_by_seq(waiting_[w]);
-    assert(di != nullptr && di->state == InstState::kWaiting);
-    if (!di->src1_ready || !di->src2_ready) {
-      ++w;
-      continue;
-    }
+  for (std::size_t r = 0; r < ready_.size() && issued < config_.issue_width;) {
+    DynInst* di = find_by_seq(ready_[r]);
+    assert(di != nullptr && di->state == InstState::kWaiting &&
+           di->src1_ready && di->src2_ready);
     // A fence executes only once it is the oldest instruction (its whole
     // ordering purpose).
     if (di->inst.op == OpClass::kFence && rob_.front().seq != di->seq) {
-      ++w;
+      ++r;
       continue;
     }
-    if (execute(*di)) {
-      di->state = InstState::kIssued;
-      next_complete_cycle_ = std::min(next_complete_cycle_, di->done_cycle);
-      waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(w));
-      ++issued;
-    } else {
-      ++w;
+    if (!execute(*di)) {
+      ++r;
+      continue;
     }
+    di->state = InstState::kIssued;
+    completions_.emplace_back(di->done_cycle, di->seq);
+    std::push_heap(completions_.begin(), completions_.end(),
+                   std::greater<>{});
+    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(r));
+    --iq_occupancy_;
+    if (!di->is_branch()) note_eligible(di->seq);
+    ++issued;
+  }
+  if (issued > 0 || stats_.shadow_stall_cycles != stalls_before) {
+    acted_ = true;
   }
 }
 
@@ -893,6 +908,24 @@ DynInst* Core::find_by_seq(SeqNum seq) {
 }
 
 void Core::wake_dependents(const DynInst& producer) {
+  // Delivers the result to one candidate consumer; the operand that
+  // completes its set moves it onto the ready list (an entry with an
+  // unready operand is always kWaiting).
+  const auto deliver = [&](DynInst& di) {
+    if (di.src1_ready && di.src2_ready) return;
+    if (!di.src1_ready && di.src1_producer == producer.seq) {
+      di.src1_value = producer.result;
+      di.src1_ready = true;
+    }
+    if (!di.src2_ready && di.src2_producer == producer.seq) {
+      di.src2_value = producer.result;
+      di.src2_ready = true;
+    }
+    if (di.src1_ready && di.src2_ready) {
+      ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), di.seq),
+                    di.seq);
+    }
+  };
   // Common case: visit exactly the consumers that bound an operand to
   // this producer at dispatch. A recorded seq can be stale (its consumer
   // squashed and the seq reused after the rewind), so each entry is
@@ -901,16 +934,7 @@ void Core::wake_dependents(const DynInst& producer) {
   // inert or a genuine dependent that re-bound under the reused seq.
   if (!producer.dep_overflow) {
     for (int i = 0; i < producer.dep_count; ++i) {
-      DynInst* di = find_by_seq(producer.deps[i]);
-      if (di == nullptr) continue;
-      if (!di->src1_ready && di->src1_producer == producer.seq) {
-        di->src1_value = producer.result;
-        di->src1_ready = true;
-      }
-      if (!di->src2_ready && di->src2_producer == producer.seq) {
-        di->src2_value = producer.result;
-        di->src2_ready = true;
-      }
+      if (DynInst* di = find_by_seq(producer.deps[i])) deliver(*di);
     }
     return;
   }
@@ -920,15 +944,7 @@ void Core::wake_dependents(const DynInst& producer) {
   for (std::size_t i =
            static_cast<std::size_t>(producer.seq - front_seq) + 1;
        i < rob_.size(); ++i) {
-    DynInst& di = rob_[i];
-    if (!di.src1_ready && di.src1_producer == producer.seq) {
-      di.src1_value = producer.result;
-      di.src1_ready = true;
-    }
-    if (!di.src2_ready && di.src2_producer == producer.seq) {
-      di.src2_value = producer.result;
-      di.src2_ready = true;
-    }
+    deliver(rob_[i]);
   }
 }
 
@@ -938,10 +954,7 @@ void Core::stage_dispatch() {
     FetchedInst& fi = fetch_queue_.front();
     if (fi.ready_at > cycle_) return;
     if (fence_active_) return;
-    if (rob_full() ||
-        static_cast<int>(waiting_.size()) >= config_.iq_entries) {
-      return;
-    }
+    if (rob_full() || iq_occupancy_ >= config_.iq_entries) return;
     if (fi.inst.op == OpClass::kLoad &&
         loads_in_flight_ >= config_.ldq_entries) {
       return;
@@ -992,10 +1005,13 @@ void Core::stage_dispatch() {
     if (di.is_load()) ++loads_in_flight_;
     if (di.is_store()) ++stores_in_flight_;
     if (di.inst.op == OpClass::kFence) fence_active_ = true;
-    waiting_.push_back(di.seq);  // seqs ascend: stays sorted
+    ++iq_occupancy_;
+    // The newest seq: appending keeps ready_ sorted.
+    if (di.src1_ready && di.src2_ready) ready_.push_back(di.seq);
 
     rob_.push_back(std::move(di));
     fetch_queue_.pop_front();
+    acted_ = true;
   }
 }
 
@@ -1007,6 +1023,7 @@ void Core::stage_fetch() {
   if (halted_ || fetch_stalled_) return;
   if (cycle_ < fetch_busy_until_) return;
   if (static_cast<int>(fetch_queue_.size()) >= kFetchBufferCap) return;
+  acted_ = true;  // every path below touches the iTLB or stalls fetch
 
   Addr last_line_touched = ~Addr{0};
 
@@ -1196,9 +1213,11 @@ void Core::restart_at(Addr pc) {
   fetch_queue_.clear();
   release_pending_fetch_refs();
   unresolved_branches_.clear();
-  waiting_.clear();
-  next_complete_cycle_ = kNeverCycle;
-  promoted_below_seq_ = 0;
+  completions_.clear();
+  ready_.clear();
+  iq_occupancy_ = 0;
+  promote_scan_ = 0;
+  promote_events_.clear();
   std::fill(std::begin(rename_), std::end(rename_), SeqNum{0});
   loads_in_flight_ = 0;
   stores_in_flight_ = 0;

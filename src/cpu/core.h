@@ -14,7 +14,7 @@
 //                (WFB) or commits (WFC). Squashes annul shadow state in
 //                place (§III, Fig 3).
 //
-// Timing-model simplifications (documented per DESIGN.md):
+// Timing-model simplifications:
 //   * Memory side effects apply at issue time; there are therefore no
 //     delayed responses needing the §III "filter" — squash of an issued
 //     load simply releases its shadow reference.
@@ -22,11 +22,20 @@
 //     behaviour the paper relies on to leave stores unshadowed (§IV-B).
 //   * The shadow lookup costs the same as an L1 hit (4 cycles), matching
 //     the paper's conservative assumption.
+//
+// Scheduling is event-driven, so host work per cycle follows pipeline
+// events rather than window size: completion pops a (done_cycle, seq)
+// heap, issue visits a ready list, and the WFB promotion sweep visits only
+// entries that became eligible or that the frontier newly uncovered.
+// step() is the exact one-cycle reference; after a step in which no stage
+// acted, quiet_until() names the next cycle any stage can act, and
+// skip_quiet() jumps the clock there (sim::Simulator::run does both).
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ring_buffer.h"
@@ -185,28 +194,39 @@ class Core {
        memory::MainMemory* mem, memory::PageTable* page_table,
        memory::SharedLevels* shared_levels = nullptr, int core_id = 0);
 
-  /// Runs until halt/fault/budget. Returns the stop reason.
-  StopReason run(Cycle max_cycles = 10'000'000,
-                 std::uint64_t max_instrs = ~0ULL);
-
-  /// Single-steps one cycle (tests drive this directly).
+  /// Single-steps one cycle: the exact one-cycle reference. Tests drive
+  /// it directly; sim::Simulator::run drives it between quiet jumps.
   void step();
+
+  /// The first cycle at which a stage can act again, as of the last
+  /// step(). now() when that step acted (completed, committed or faulted,
+  /// issued or retried a kStall issue, dispatched, fetched past its
+  /// gates, or promoted); otherwise the earliest timed wakeup — next
+  /// completion, ROB-head retirement, fetch-queue head readiness, end of
+  /// a fetch miss — and kNeverCycle when nothing is timed. Until then
+  /// nothing changes but the clock and the occupancy samples.
+  Cycle quiet_until() const;
+
+  /// Advances the clock over `n` quiet cycles (now() + n <=
+  /// quiet_until()), recording their occupancy samples in one call:
+  /// exactly equivalent to `n` step() calls.
+  void skip_quiet(Cycle n);
+
+  static constexpr Cycle kNeverCycle = ~Cycle{0};
 
   bool halted() const { return halted_; }
   Cycle now() const { return cycle_; }
   int core_id() const { return core_id_; }
 
-  /// Why the last run() ended. Set at the halt/fault commit sites, so it
-  /// is accurate for any halted() core even when driven by step() — the
-  /// multi-core scheduler relies on that; budget stops are reported by
-  /// whichever loop enforced the budget.
+  /// Why the core halted. Set at the halt/fault commit sites, so it is
+  /// accurate for any halted() core; budget and wedge stops are reported
+  /// by sim::Simulator::run, which enforces them.
   StopReason stop_reason() const { return stop_reason_; }
 
   /// True when the core can make no further progress by stepping:
   /// halted, or committed control flow reached a pc with no instruction
   /// (the front end is stalled with an empty pipeline and can never
-  /// refill). Mirrors the termination conditions of run() for external
-  /// cycle-by-cycle schedulers.
+  /// refill). sim::Simulator::run stops stepping a finished core.
   bool finished() const {
     return halted_ || (fetch_stalled_ && rob_.empty() && fetch_queue_.empty());
   }
@@ -282,9 +302,9 @@ class Core {
     int shadow_itlb = DynInst::kNoShadow;
   };
 
-  // ---- pipeline stages (called newest-to-oldest each cycle) -----------
-  void stage_commit();
+  // ---- pipeline stages (called in this order each cycle) --------------
   void stage_complete();
+  void stage_commit();
   void stage_issue();
   void stage_dispatch();
   void stage_fetch();
@@ -297,8 +317,25 @@ class Core {
   /// next_seq_++; squash/commit only pop the ends), so an in-flight seq's
   /// slot is seq - rob_.front().seq.
   DynInst* find_by_seq(SeqNum seq);
+  /// Delivers `producer`'s result to its consumers; a consumer whose last
+  /// operand arrives joins the ready list.
   void wake_dependents(const DynInst& producer);
-  bool older_unresolved_branch_exists(SeqNum seq) const;
+  /// Clock advance shared by step() and skip_quiet().
+  void advance_clock(Cycle n);
+
+  /// WFB promotion sweep (promote_at_resolution_ policies): promotes,
+  /// oldest first, every eligible entry below the frontier (the oldest
+  /// unresolved branch) that is not yet promoted — the queued eligibility
+  /// events below the scan point, then [promote_scan_, frontier).
+  void promote_eligible();
+  /// Records that the entry `seq` just became eligible for WFB promotion
+  /// (a non-branch issued, or a branch resolved). Entries at or past the
+  /// scan point need no event: the frontier reaches them later.
+  void note_eligible(SeqNum seq) {
+    if (promote_at_resolution_ && seq < promote_scan_) {
+      promote_events_.push_back(seq);
+    }
+  }
 
   /// Issues one instruction (computes result / performs memory access
   /// side effects). Returns false when the instruction cannot issue this
@@ -385,18 +422,28 @@ class Core {
   /// Seqs of unresolved kBranch/kBranchIndirect/kRet entries, ascending
   /// (dispatch appends monotonically; front() is the WFB frontier).
   std::vector<SeqNum> unresolved_branches_;
-  /// Seqs of kWaiting (dispatched, not yet issued) entries, ascending —
-  /// stage_issue walks these instead of the whole ROB. Its size is the
-  /// issue-queue occupancy.
-  std::vector<SeqNum> waiting_;
-  /// Earliest done_cycle over kIssued entries (lower bound; may be stale
-  /// low after a squash). stage_complete is a no-op until then.
-  Cycle next_complete_cycle_ = kNeverCycle;
-  /// WFB sweep hint: every live entry with seq below this is already
-  /// shadow_promoted, so the promotion sweep starts here.
-  SeqNum promoted_below_seq_ = 0;
 
-  static constexpr Cycle kNeverCycle = ~Cycle{0};
+  // ---- scheduler --------------------------------------------------------
+  // Every squash drops the squashed suffix from all three lists below, so
+  // each element names a live entry (seqs are reused after the rewind).
+  /// (done_cycle, seq) of every kIssued entry, as a min-heap: completion
+  /// pops exactly the entries finishing this cycle, oldest first, instead
+  /// of walking the ROB; the top is the next completion's cycle.
+  std::vector<std::pair<Cycle, SeqNum>> completions_;
+  /// Seqs of kWaiting entries whose operands are all ready, ascending —
+  /// filled at dispatch and by wake_dependents, drained by issue, which
+  /// visits only these (oldest first, as a full window scan would).
+  std::vector<SeqNum> ready_;
+  /// kWaiting (dispatched, not yet issued) entries: IQ occupancy.
+  int iq_occupancy_ = 0;
+  /// WFB promotion scan point: the frontier at the last sweep. Every
+  /// entry below it that was eligible then was promoted then; entries
+  /// that became eligible since are queued in promote_events_, so no
+  /// sweep revisits an entry whose eligibility did not change.
+  SeqNum promote_scan_ = 0;
+  std::vector<SeqNum> promote_events_;
+  /// Whether a stage acted in the last stepped cycle (see quiet_until).
+  bool acted_ = false;
 
   // Rename: arch reg -> producing seq (0 = value lives in regs_).
   SeqNum rename_[kNumArchRegs] = {};

@@ -83,7 +83,7 @@ class FunctionalEngine {
 
   /// Runs from the program entry (or wherever the previous run/restore
   /// left off) until halt, unrecoverable fault, or `max_instrs` further
-  /// committed instructions. Resumable, like Core::run.
+  /// committed instructions. Resumable, like Simulator::run.
   cpu::StopReason run(std::uint64_t max_instrs);
 
   std::uint64_t reg(RegIndex r) const { return regs_[r]; }

@@ -6,9 +6,18 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
 #include "sim/functional.h"
 
 namespace safespec::sim {
+
+namespace {
+/// Deadlock backstop: a core that commits nothing for this many cycles is
+/// wedged. It only fires on malformed programs (e.g. committed control
+/// flow ran off the end of the text without a halt) and on undersized
+/// kStall shadows whose full table nothing can drain.
+constexpr Cycle kWedgeCycles = 100'000;
+}  // namespace
 
 void SamplingSpec::validate() const {
   if (enabled() && detail_instrs == 0) {
@@ -99,59 +108,89 @@ void Simulator::poke(Addr addr, std::uint64_t value) {
 }
 
 SimResult Simulator::run(Cycle max_cycles, std::uint64_t max_instrs) {
-  // cores=1 delegates to the historical single-core loop — the
-  // bit-identity guarantee for every golden CSV and perf cell.
-  const auto stop = ctx_.size() == 1
-                        ? ctx_[0]->core->run(max_cycles, max_instrs)
-                        : run_multi(max_cycles, max_instrs);
-  return snapshot(stop);
+  return snapshot(run_cores(max_cycles, max_instrs));
 }
 
-cpu::StopReason Simulator::run_multi(Cycle max_cycles,
+cpu::StopReason Simulator::run_cores(Cycle max_cycles,
                                      std::uint64_t max_instrs) {
   cpu::Core& primary = *ctx_[0]->core;
   const std::uint64_t committed_at_start = primary.stats().committed_instrs;
 
-  // Per-core scheduler state; the wedge backstop mirrors Core::run's
-  // (nothing committed for a long time => malformed program).
+  // Per-core schedule state. `t` counts schedule cycles since this call
+  // began, and every live core's clock advances by exactly one per
+  // schedule cycle, so a core's own cycle count tracks `t`.
   struct Sched {
+    cpu::Core* core = nullptr;
     bool done = false;
-    Cycle last_progress = 0;
     std::uint64_t last_committed = 0;
+    Cycle last_progress = 0;  ///< `t` after the core's latest commit
+    Cycle wake = 0;           ///< core cycle at which it must next step
   };
-  std::vector<Sched> sched(ctx_.size());
-  for (std::size_t i = 0; i < ctx_.size(); ++i) {
-    sched[i].done = ctx_[i]->core->finished();
-    sched[i].last_committed = ctx_[i]->core->stats().committed_instrs;
+  std::vector<Sched> sched;
+  sched.reserve(ctx_.size());
+  for (const auto& ctx : ctx_) {
+    cpu::Core* core = ctx->core.get();
+    sched.push_back({core, core->finished(), core->stats().committed_instrs});
   }
-  const auto all_done = [&] {
-    for (const Sched& s : sched) {
-      if (!s.done) return false;
-    }
-    return true;
+  const auto check_wedge = [](Sched& s, Cycle t, std::size_t i) {
+    if (t - s.last_progress <= kWedgeCycles) return;
+    s.done = true;
+    LOG_WARN("core " << i << " wedged at pc=0x" << std::hex
+                     << s.core->next_commit_pc());
   };
 
-  // One global schedule cycle steps every live core once, core 0 first —
-  // fully deterministic. The cycle budget bounds *schedule* cycles, so a
-  // spinning secondary core cannot outlive it after core 0 finishes.
+  // One schedule cycle steps every live core whose quiet window has
+  // ended, core 0 first — fully deterministic — and only advances the
+  // others' clocks. When every live core is quiet the whole machine jumps
+  // to the earliest wakeup, capped so the cycle budget and the wedge
+  // backstop still fire on exactly the cycle they would when stepping.
+  // The cycle budget bounds *schedule* cycles, so a spinning secondary
+  // core cannot outlive it after core 0 finishes.
   Cycle t = 0;
-  while (!all_done()) {
+  for (;;) {
+    bool any_live = false;
+    Cycle quiet = cpu::Core::kNeverCycle;  // cycles every live core idles
+    for (const Sched& s : sched) {
+      if (s.done) continue;
+      any_live = true;
+      const Cycle now = s.core->now();
+      quiet = std::min(quiet, s.wake > now ? s.wake - now : 0);
+    }
+    if (!any_live) break;
     if (t >= max_cycles) return cpu::StopReason::kMaxCycles;
     if (primary.stats().committed_instrs - committed_at_start >= max_instrs) {
       return cpu::StopReason::kMaxInstrs;
     }
-    for (std::size_t i = 0; i < ctx_.size(); ++i) {
-      if (sched[i].done) continue;
-      cpu::Core& core = *ctx_[i]->core;
-      core.step();
-      const std::uint64_t committed = core.stats().committed_instrs;
-      if (committed != sched[i].last_committed) {
-        sched[i].last_committed = committed;
-        sched[i].last_progress = t;
-      } else if (t - sched[i].last_progress > 100'000) {
-        sched[i].done = true;  // wedged
+    if (quiet > 0) {
+      Cycle n = std::min(quiet, max_cycles - t);
+      for (const Sched& s : sched) {
+        if (!s.done) n = std::min(n, s.last_progress + kWedgeCycles + 1 - t);
       }
-      if (core.finished()) sched[i].done = true;
+      t += n;
+      for (std::size_t i = 0; i < sched.size(); ++i) {
+        if (sched[i].done) continue;
+        sched[i].core->skip_quiet(n);
+        check_wedge(sched[i], t, i);
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < sched.size(); ++i) {
+      Sched& s = sched[i];
+      if (s.done) continue;
+      if (s.core->now() < s.wake) {
+        s.core->skip_quiet(1);
+      } else {
+        s.core->step();
+        s.wake = s.core->quiet_until();
+      }
+      const std::uint64_t committed = s.core->stats().committed_instrs;
+      if (committed != s.last_committed) {
+        s.last_committed = committed;
+        s.last_progress = t + 1;
+      } else {
+        check_wedge(s, t + 1, i);
+      }
+      if (s.core->finished()) s.done = true;
     }
     ++t;
   }
@@ -204,7 +243,7 @@ SimResult Simulator::run_sampled(const SamplingSpec& spec, Cycle max_cycles,
                                   Cycle& cycles) {
     const std::uint64_t c0 = core0.stats().committed_instrs;
     const Cycle y0 = core0.stats().cycles;
-    const auto seg_stop = core0.run(cycles_left, n);
+    const auto seg_stop = run_cores(cycles_left, n);
     commits = core0.stats().committed_instrs - c0;
     cycles = core0.stats().cycles - y0;
     cycles_left = cycles >= cycles_left ? 0 : cycles_left - cycles;

@@ -9,8 +9,10 @@
 // per live core per global cycle, core 0 first. Each core runs its own
 // program against its own architectural memory — a private "process" — so
 // per-core architectural state is independent of the interleaving and
-// only *timing* couples cores (through the shared levels). cores=1 keeps
-// the exact historical single-core run loop.
+// only *timing* couples cores (through the shared levels). One run loop
+// serves every core count (cores=1 is just N=1); it jumps over cycles in
+// which no core's pipeline can act, with results identical to stepping
+// every cycle.
 #pragma once
 
 #include <cstdint>
@@ -194,10 +196,12 @@ class Simulator {
   std::uint64_t peek_on(int c, Addr addr) const { return mem(c).read64(addr); }
 
   /// Runs to completion (halt/fault/budget) and snapshots the result.
-  /// Multi-core: cores step round-robin (core 0 first) until every core
-  /// is finished or a budget trips; `max_cycles` bounds global schedule
-  /// cycles and `max_instrs` bounds core 0's committed instructions; the
-  /// stop reason reports core 0's fate.
+  /// Cores step round-robin (core 0 first) until every core is finished
+  /// or wedged (nothing committed for 100k cycles) or a budget trips;
+  /// `max_cycles` bounds global schedule cycles and `max_instrs` bounds
+  /// core 0's committed instructions; the stop reason reports core 0's
+  /// fate. Equivalent to calling cpu::Core::step() on every live core
+  /// each cycle, but skips the cycles in which no core can act.
   SimResult run(Cycle max_cycles = 50'000'000,
                 std::uint64_t max_instrs = ~0ULL);
 
@@ -275,9 +279,9 @@ class Simulator {
   void build_cores(const cpu::CoreConfig& config,
                    std::vector<isa::Program> programs);
 
-  /// The cores>1 run loop: deterministic round-robin, one cycle per live
-  /// core per global cycle, core 0 first.
-  cpu::StopReason run_multi(Cycle max_cycles, std::uint64_t max_instrs);
+  /// The run loop behind run() and every detailed window of
+  /// run_sampled(): see run().
+  cpu::StopReason run_cores(Cycle max_cycles, std::uint64_t max_instrs);
 
   memory::MainMemory& mem(int c) { return ctx_[c]->mem; }
   const memory::MainMemory& mem(int c) const { return ctx_[c]->mem; }

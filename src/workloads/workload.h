@@ -1,7 +1,7 @@
 // Synthetic SPEC CPU2017 stand-ins.
 //
 // The paper evaluates on 22 SPEC2017 benchmarks. SPEC sources and inputs
-// are proprietary, so (per the substitution policy in DESIGN.md) each
+// are proprietary and cannot ship with the repository, so each
 // benchmark is replaced by a *parameterised synthetic program* generated
 // in the micro-ISA, tuned to the published behaviour class of its
 // namesake: data footprint, pointer-chasing vs. streaming access mix,

@@ -2,6 +2,8 @@
 // counters, histograms/percentiles, and the geometric mean.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/addr_map.h"
 #include "common/paged_addr_map.h"
 #include "common/rng.h"
@@ -210,6 +212,30 @@ TEST(HistogramProperty, RecordRunMatchesRecord) {
   for (double f : {0.1, 0.5, 0.9, 0.99, 0.9999, 1.0}) {
     EXPECT_EQ(batched.percentile(f), plain.percentile(f)) << "fraction " << f;
   }
+}
+
+TEST(HistogramTest, RecordRunOfNEqualsNSingleRecordRuns) {
+  // record_run(s, n) is how skipped idle cycles land in the occupancy
+  // histograms; it must equal n record_run(s) calls — n = 0 records
+  // nothing, and a call with the pending run's value extends that run.
+  const std::pair<std::uint64_t, std::uint64_t> runs[] = {
+      {3, 5}, {3, 0}, {3, 2}, {7, 0}, {7, 1}, {0, 4}, {7, 3}, {7, 1000}};
+  Histogram batched, single;
+  for (const auto& [sample, n] : runs) {
+    batched.record_run(sample, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.record_run(sample);
+  }
+  EXPECT_EQ(batched.count(), single.count());
+  EXPECT_EQ(batched.max(), single.max());
+  EXPECT_DOUBLE_EQ(batched.mean(), single.mean());
+  EXPECT_EQ(batched.percentile(0.5), single.percentile(0.5));
+  EXPECT_EQ(batched.percentile(0.9999), single.percentile(0.9999));
+  EXPECT_EQ(batched.count(), 1015u);
+
+  Histogram empty;
+  empty.record_run(9, 0);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
 }
 
 TEST(HistogramTest, MergeFlushesPendingRuns) {

@@ -447,7 +447,7 @@ TEST(Restart, PreservesMicroarchitecturalState) {
   ASSERT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),
                                                memory::Side::kData));
   s.core().restart_at(phase2);
-  const auto r2 = s.core().run(100000);
+  const auto r2 = s.run(100000).stop;
   EXPECT_EQ(r2, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(3), 7u);
   EXPECT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),

@@ -106,13 +106,19 @@ TEST(ShadowTable, LiveCountTracksEntriesNotRefs) {
 }
 
 TEST(ShadowTable, PayloadAliasesPayloadOf) {
-  // payload() is the historical accessor name; instantiating it caught a
-  // latent call to a nonexistent Entry::key_payload().
-  shadow::ShadowTlb t({.name = "t", .entries = 4});
+  // payload_of() hands back a reference to the stored payload itself: every
+  // sharer of the entry reads the same object. Instantiating it on ShadowTlb
+  // once caught a latent call to a nonexistent Entry::key_payload().
+  ShadowTlb t(config_of(4));
   const auto id = t.insert(0x7, {0x42, /*kernel_only=*/false});
-  ASSERT_NE(id, shadow::ShadowTlb::kNone);
-  EXPECT_EQ(t.payload(id).ppage, t.payload_of(id).ppage);
-  EXPECT_EQ(t.payload(id).ppage, 0x42u);
+  ASSERT_NE(id, ShadowTlb::kNone);
+  const auto sharer = t.acquire_existing(0x7);
+  ASSERT_EQ(sharer, id);
+  EXPECT_EQ(&t.payload_of(sharer), &t.payload_of(id));
+  EXPECT_EQ(t.payload_of(id).ppage, 0x42u);
+  EXPECT_FALSE(t.payload_of(id).kernel_only);
+  t.release(sharer);
+  t.release(id);
 }
 
 TEST(ShadowTable, TlbPayloadRoundTrips) {
