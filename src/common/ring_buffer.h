@@ -10,6 +10,9 @@
 #include <cassert>
 #include <cstddef>
 #include <iterator>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,8 +20,13 @@ namespace safespec {
 
 /// Bounded double-ended queue over a power-of-two slab. The caller never
 /// pushes past `capacity()` (the pipeline checks occupancy first; push
-/// asserts in debug builds). T must be default-constructible (slots are
-/// value-initialized up front) and move-assignable.
+/// asserts in debug builds). Popped elements stay alive in their slots
+/// until the slot is reused. T must be:
+///   * default-constructible (slots are value-initialized up front);
+///   * move-assignable, for push_back();
+///   * nothrow default-constructible and free of const or reference
+///     members, for emplace_back(), which destroys the slot's previous
+///     element and value-initializes a new one in its place.
 template <typename T>
 class RingBuffer {
  public:
@@ -52,6 +60,21 @@ class RingBuffer {
     assert(size_ < slab_.size());
     slab_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
+  }
+
+  /// Appends a value-initialized element built in its slot and returns
+  /// it, so the caller fills it in place instead of copying a temporary
+  /// in (the slot's previous element, and any storage it owned, is
+  /// destroyed first).
+  T& emplace_back() {
+    static_assert(std::is_nothrow_default_constructible_v<T>,
+                  "a throwing constructor would leave a destroyed slot");
+    assert(size_ < slab_.size());
+    T* slot = &slab_[(head_ + size_) & mask_];
+    std::destroy_at(slot);
+    ::new (static_cast<void*>(slot)) T();
+    ++size_;
+    return *slot;
   }
 
   void pop_front() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 
 #include "common/log.h"
 
@@ -76,7 +75,8 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
       shadow_itlb_(config_.shadow_itlb),
       rob_(static_cast<std::size_t>(config_.rob_entries)),
       fetch_queue_(
-          static_cast<std::size_t>(kFetchBufferCap + config_.fetch_width)) {
+          static_cast<std::size_t>(kFetchBufferCap + config_.fetch_width)),
+      stores_(static_cast<std::size_t>(config_.stq_entries)) {
   fetch_pc_ = program_->entry();
   unresolved_branches_.reserve(static_cast<std::size_t>(config_.rob_entries));
   completions_.reserve(static_cast<std::size_t>(config_.rob_entries));
@@ -141,7 +141,7 @@ Cycle Core::quiet_until() const {
   // held shut by pipeline state (a full window, a stalled front end)
   // reopen only through some other stage acting.
   Cycle wake = kNeverCycle;
-  if (!completions_.empty()) wake = completions_.front().first;
+  if (!completions_.empty()) wake = completions_.back().first;
   if (!rob_.empty() && rob_.front().state == InstState::kDone) {
     wake = std::min(wake, rob_.front().done_cycle +
                               static_cast<Cycle>(config_.commit_delay));
@@ -179,11 +179,9 @@ void Core::advance_clock(Cycle n) {
 void Core::stage_complete() {
   // Pops exactly the entries finishing this cycle, oldest first — the
   // order a ROB walk would visit them in. A mispredicted branch squashes
-  // everything younger, which also leaves the heap.
-  while (!completions_.empty() && completions_.front().first == cycle_) {
-    const SeqNum seq = completions_.front().second;
-    std::pop_heap(completions_.begin(), completions_.end(),
-                  std::greater<>{});
+  // everything younger, which also leaves the list.
+  while (!completions_.empty() && completions_.back().first == cycle_) {
+    const SeqNum seq = completions_.back().second;
     completions_.pop_back();
     DynInst* di = find_by_seq(seq);
     assert(di != nullptr && di->state == InstState::kIssued &&
@@ -193,7 +191,7 @@ void Core::stage_complete() {
     if (di->inst.writes_register()) wake_dependents(*di);
     if (di->is_branch()) resolve_branch(*di);
   }
-  assert(completions_.empty() || completions_.front().first > cycle_);
+  assert(completions_.empty() || completions_.back().first > cycle_);
 }
 
 void Core::resolve_branch(DynInst& di) {
@@ -244,7 +242,10 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
     release_shadow(victim);
     if (victim.is_branch()) erase_seq(unresolved_branches_, victim.seq);
     if (victim.is_load()) --loads_in_flight_;
-    if (victim.is_store()) --stores_in_flight_;
+    if (victim.is_store()) {
+      assert(stores_.back() == victim.seq);
+      stores_.pop_back();
+    }
     if (victim.state == InstState::kWaiting) --iq_occupancy_;
     if (victim.inst.op == OpClass::kFence) fence_active_ = false;
     ++stats_.squashed_instrs;
@@ -260,7 +261,6 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
       std::remove_if(completions_.begin(), completions_.end(),
                      [&](const auto& c) { return squashed(c.second); }),
       completions_.end());
-  std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
   ready_.erase(std::upper_bound(ready_.begin(), ready_.end(), seq),
                ready_.end());
   promote_events_.erase(std::remove_if(promote_events_.begin(),
@@ -348,7 +348,8 @@ void Core::commit_one(DynInst& head) {
       // which is why stores need no shadow structure (§IV-B).
       mem_->write64(head.physical_addr, head.src2_value);
       hierarchy_.fill_all_levels(line_of(head.physical_addr), Side::kData);
-      --stores_in_flight_;
+      assert(stores_.front() == head.seq);
+      stores_.pop_front();
       ++stats_.committed_stores;
       break;
     case OpClass::kLoad:
@@ -393,7 +394,10 @@ void Core::raise_fault(DynInst& head) {
   release_shadow(head);
   if (head.is_branch()) erase_seq(unresolved_branches_, head.seq);
   if (head.is_load()) --loads_in_flight_;
-  if (head.is_store()) --stores_in_flight_;
+  if (head.is_store()) {
+    assert(stores_.front() == head.seq);
+    stores_.pop_front();
+  }
   const SeqNum seq = head.seq;
   const auto handler = program_->fault_handler();
   squash_younger_than(seq, handler.value_or(0));
@@ -580,9 +584,13 @@ void Core::stage_issue() {
       continue;
     }
     di->state = InstState::kIssued;
-    completions_.emplace_back(di->done_cycle, di->seq);
-    std::push_heap(completions_.begin(), completions_.end(),
-                   std::greater<>{});
+    // Sorted insert, scanning from the back (the soonest completions).
+    const std::pair<Cycle, SeqNum> done(di->done_cycle, di->seq);
+    auto pos = completions_.end();
+    while (pos != completions_.begin() && *(pos - 1) < done) --pos;
+    pos = completions_.insert(pos, done);
+    assert((pos == completions_.begin() || *(pos - 1) > done) &&
+           (pos + 1 == completions_.end() || done > *(pos + 1)));
     ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(r));
     --iq_occupancy_;
     if (!di->is_branch()) note_eligible(di->seq);
@@ -639,23 +647,23 @@ bool Core::execute(DynInst& di) {
     case OpClass::kLoad: {
       di.effective_addr = di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
 
-      // Memory ordering: scan older stores. Any older store with an
-      // unknown address blocks us (conservative disambiguation); the
-      // youngest older store to the same word forwards its data. The scan
-      // is skipped outright when no store is in flight anywhere.
+      // Memory ordering: visit the older stores in the store queue. Any
+      // older store with an unknown address blocks us (conservative
+      // disambiguation); the youngest older store to the same word
+      // forwards its data.
       const Addr word = di.effective_addr >> 3;
       const DynInst* forwarding_store = nullptr;
-      if (stores_in_flight_ > 0) {
-        const std::size_t older =
-            static_cast<std::size_t>(di.seq - rob_.front().seq);
-        for (std::size_t i = 0; i < older; ++i) {
-          const DynInst& other = rob_[i];
-          if (!other.is_store()) continue;
-          if (other.state == InstState::kWaiting) {
-            return false;  // addr unknown
-          }
-          if ((other.effective_addr >> 3) == word) forwarding_store = &other;
+      const SeqNum front_seq = rob_.front().seq;
+      for (std::size_t i = 0; i < stores_.size() && stores_[i] < di.seq;
+           ++i) {
+        const DynInst& store =
+            rob_[static_cast<std::size_t>(stores_[i] - front_seq)];
+        assert(store.is_store() && store.seq == stores_[i] &&
+               (i == 0 || stores_[i - 1] < stores_[i]));
+        if (store.state == InstState::kWaiting) {
+          return false;  // addr unknown
         }
+        if ((store.effective_addr >> 3) == word) forwarding_store = &store;
       }
       if (forwarding_store != nullptr) {
         di.result = forwarding_store->src2_value;
@@ -960,11 +968,11 @@ void Core::stage_dispatch() {
       return;
     }
     if (fi.inst.op == OpClass::kStore &&
-        stores_in_flight_ >= config_.stq_entries) {
+        static_cast<int>(stores_.size()) >= config_.stq_entries) {
       return;
     }
 
-    DynInst di;
+    DynInst& di = rob_.emplace_back();
     di.seq = next_seq_++;
     di.pc = fi.pc;
     di.inst = fi.inst;
@@ -1003,13 +1011,15 @@ void Core::stage_dispatch() {
       unresolved_branches_.push_back(di.seq);  // seqs ascend: stays sorted
     }
     if (di.is_load()) ++loads_in_flight_;
-    if (di.is_store()) ++stores_in_flight_;
+    if (di.is_store()) {
+      assert(stores_.empty() || stores_.back() < di.seq);
+      stores_.push_back(di.seq);
+    }
     if (di.inst.op == OpClass::kFence) fence_active_ = true;
     ++iq_occupancy_;
     // The newest seq: appending keeps ready_ sorted.
     if (di.src1_ready && di.src2_ready) ready_.push_back(di.seq);
 
-    rob_.push_back(std::move(di));
     fetch_queue_.pop_front();
     acted_ = true;
   }
@@ -1157,7 +1167,7 @@ void Core::stage_fetch() {
     }
 
     // ---- decode + predict -----------------------------------------------
-    FetchedInst fi;
+    FetchedInst& fi = fetch_queue_.emplace_back();
     fi.pc = fetch_pc_;
     fi.inst = *inst;
     fi.ready_at = cycle_ + static_cast<Cycle>(config_.fetch_to_dispatch_delay);
@@ -1168,7 +1178,6 @@ void Core::stage_fetch() {
     ++stats_.fetched_instrs;
 
     if (inst->op == OpClass::kHalt) {
-      fetch_queue_.push_back(fi);
       fetch_stalled_ = true;  // nothing sensible follows a halt
       break;
     }
@@ -1177,20 +1186,17 @@ void Core::stage_fetch() {
       fi.predicted_taken = pred.taken;
       if (!pred.target_known) {
         fi.predicted_next = 0;  // no target: stall until resolution
-        fetch_queue_.push_back(fi);
         fetch_stalled_ = true;
         break;
       }
       fi.predicted_next =
           pred.taken ? pred.target : fetch_pc_ + isa::kInstrBytes;
-      fetch_queue_.push_back(fi);
       fetch_pc_ = fi.predicted_next;
       if (pred.taken) break;  // taken-branch fetch break
       continue;
     }
 
     fi.predicted_next = fetch_pc_ + isa::kInstrBytes;
-    fetch_queue_.push_back(fi);
     fetch_pc_ += isa::kInstrBytes;
   }
 }
@@ -1220,7 +1226,7 @@ void Core::restart_at(Addr pc) {
   promote_events_.clear();
   std::fill(std::begin(rename_), std::end(rename_), SeqNum{0});
   loads_in_flight_ = 0;
-  stores_in_flight_ = 0;
+  stores_.clear();
   fence_active_ = false;
   fetch_stalled_ = false;
   fetch_busy_until_ = cycle_ + 1;

@@ -24,9 +24,12 @@
 //     the paper's conservative assumption.
 //
 // Scheduling is event-driven, so host work per cycle follows pipeline
-// events rather than window size: completion pops a (done_cycle, seq)
-// heap, issue visits a ready list, and the WFB promotion sweep visits only
+// events rather than window size: completion pops the back of a list kept
+// sorted by (done_cycle, seq), issue visits a ready list, a load's memory
+// disambiguation visits only the older entries of an in-order store queue
+// (the in-flight stores' seqs), and the WFB promotion sweep visits only
 // entries that became eligible or that the frontier newly uncovered.
+// Dispatch and fetch build each DynInst/FetchedInst in its ring slot.
 // step() is the exact one-cycle reference; after a step in which no stage
 // acted, quiet_until() names the next cycle any stage can act, and
 // skip_quiet() jumps the clock there (sim::Simulator::run does both).
@@ -414,11 +417,18 @@ class Core {
   // ---- pipeline state -----------------------------------------------------
   Cycle cycle_ = 0;
   SeqNum next_seq_ = 1;
-  // Pre-sized rings: the ROB and fetch buffer have hard architectural
-  // bounds, so their storage is one contiguous slab each (the per-cycle
-  // walks below iterate these).
+  // Pre-sized rings: the ROB, fetch buffer and store queue have hard
+  // architectural bounds, so their storage is one contiguous slab each.
+  // Dispatch and fetch fill new entries in place (emplace_back).
   RingBuffer<DynInst> rob_;
   RingBuffer<FetchedInst> fetch_queue_;
+  /// Store queue (Table I's STQ): the seqs of exactly the in-flight
+  /// stores, ascending (ROB order). Dispatch appends, commit and a
+  /// faulting head pop the front, squash pops the back. Its size is the
+  /// STQ occupancy. A load's disambiguation visits only the entries older
+  /// than the load: one whose address is still unknown (kWaiting) blocks
+  /// it, and the youngest one to its word forwards.
+  RingBuffer<SeqNum> stores_;
   /// Seqs of unresolved kBranch/kBranchIndirect/kRet entries, ascending
   /// (dispatch appends monotonically; front() is the WFB frontier).
   std::vector<SeqNum> unresolved_branches_;
@@ -426,9 +436,11 @@ class Core {
   // ---- scheduler --------------------------------------------------------
   // Every squash drops the squashed suffix from all three lists below, so
   // each element names a live entry (seqs are reused after the rewind).
-  /// (done_cycle, seq) of every kIssued entry, as a min-heap: completion
-  /// pops exactly the entries finishing this cycle, oldest first, instead
-  /// of walking the ROB; the top is the next completion's cycle.
+  /// (done_cycle, seq) of every kIssued entry, sorted descending: the
+  /// back is the next completion. Completion pops exactly the entries
+  /// finishing this cycle, oldest first, instead of walking the ROB.
+  /// Issue inserts scanning from the back, where a new entry (finishing
+  /// soonest) usually lands; a squash erases in place, keeping the order.
   std::vector<std::pair<Cycle, SeqNum>> completions_;
   /// Seqs of kWaiting entries whose operands are all ready, ascending —
   /// filled at dispatch and by wake_dependents, drained by issue, which
@@ -473,7 +485,6 @@ class Core {
   int pending_iline_ = -1;
   int pending_itlb_ = -1;
   int loads_in_flight_ = 0;         ///< LDQ occupancy
-  int stores_in_flight_ = 0;        ///< STQ occupancy
   bool fence_active_ = false;       ///< a kFence is in the ROB
   bool halted_ = false;
   StopReason stop_reason_ = StopReason::kMaxCycles;

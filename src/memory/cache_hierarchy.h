@@ -82,8 +82,8 @@ class SharedLevels {
   /// still in L3, so a later L3 eviction cleans it up). The from-memory
   /// path (fill_shared) *does* back-invalidate both levels' evictions.
   /// Every golden cycle count and attack trace pins this behaviour —
-  /// see memory_test's L3-hit-path inclusion test and ROADMAP "known
-  /// modelling quirks" before changing it.
+  /// see memory_test's L3-hit-path inclusion test and ROADMAP item 4(a),
+  /// which plans the fix, before changing it.
   AccessOutcome access_below_l1(Addr line, bool touch, bool fill,
                                 bool count_stats, int owner);
 

@@ -1,11 +1,17 @@
 // Unit and property tests for the common utilities: deterministic RNG,
-// counters, histograms/percentiles, and the geometric mean.
+// counters, histograms/percentiles, the geometric mean, the paged address
+// map and the pipeline ring buffer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "common/addr_map.h"
 #include "common/paged_addr_map.h"
+#include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -367,6 +373,131 @@ TEST(PagedAddrMapTest, ClearDropsEverything) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.find(1), nullptr);
   EXPECT_EQ(m.find(Addr{1} << 40), nullptr);
+}
+
+// ---- RingBuffer ---------------------------------------------------------------
+
+TEST(RingBufferTest, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(RingBuffer<int>(0).capacity(), 1u);
+  EXPECT_EQ(RingBuffer<int>(1).capacity(), 1u);
+  EXPECT_EQ(RingBuffer<int>(5).capacity(), 8u);
+  EXPECT_EQ(RingBuffer<int>(8).capacity(), 8u);
+  EXPECT_EQ(RingBuffer<int>(56).capacity(), 64u);   // Table I STQ
+  EXPECT_EQ(RingBuffer<int>(224).capacity(), 256u);  // Table I ROB
+  const RingBuffer<int> ring(3);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.begin(), ring.end());
+}
+
+TEST(RingBufferProperty, MatchesDequeOnRandomOperations) {
+  // Differential check against std::deque: random pushes and pops at both
+  // ends of a small ring wrap its head around the slab many times, and
+  // every element must stay where the deque has it.
+  Rng rng(14);
+  RingBuffer<std::uint64_t> ring(8);
+  std::deque<std::uint64_t> reference;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t value = rng.next();
+    switch (rng.below(6)) {
+      case 0:
+      case 1:
+        if (reference.size() < ring.capacity()) {
+          ring.push_back(value);
+          reference.push_back(value);
+        }
+        break;
+      case 2:
+        if (reference.size() < ring.capacity()) {
+          ring.emplace_back() = value;
+          reference.push_back(value);
+        }
+        break;
+      case 3:
+        if (!reference.empty()) {
+          ring.pop_front();
+          reference.pop_front();
+        }
+        break;
+      case 4:
+        if (!reference.empty()) {
+          ring.pop_back();
+          reference.pop_back();
+        }
+        break;
+      default:
+        if (rng.below(50) == 0) {
+          ring.clear();
+          reference.clear();
+        }
+        break;
+    }
+    ASSERT_EQ(ring.size(), reference.size()) << i;
+    ASSERT_EQ(ring.empty(), reference.empty()) << i;
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      ASSERT_EQ(ring[k], reference[k]) << i << " at " << k;
+    }
+    if (!reference.empty()) {
+      ASSERT_EQ(&ring.front(), &ring[0]) << i;
+      ASSERT_EQ(&ring.back(), &ring[ring.size() - 1]) << i;
+    }
+  }
+}
+
+TEST(RingBufferTest, IteratesFrontToBack) {
+  RingBuffer<int> ring(4);
+  for (int v = 0; v < 6; ++v) {
+    if (ring.size() == ring.capacity()) ring.pop_front();
+    ring.push_back(v);
+  }
+  // Holds 2..5 with the head past the wrap.
+  std::vector<int> seen;
+  for (const int v : ring) seen.push_back(v);
+  EXPECT_EQ(seen, (std::vector<int>{2, 3, 4, 5}));
+  EXPECT_EQ(ring.end() - ring.begin(), 4);
+  std::vector<int> reversed(std::make_reverse_iterator(ring.end()),
+                            std::make_reverse_iterator(ring.begin()));
+  EXPECT_EQ(reversed, (std::vector<int>{5, 4, 3, 2}));
+  const RingBuffer<int>& view = ring;
+  EXPECT_EQ(*(view.begin() + 2), 4);
+  EXPECT_EQ(view.begin()[3], 5);
+}
+
+/// Shaped like DynInst: plain fields beside a member that owns heap
+/// storage (DynInst::WalkerRefs::overflow).
+struct SlotRecord {
+  std::uint64_t id;
+  int counts[4];
+  bool flag;
+  std::vector<int> spill;
+};
+
+TEST(RingBufferTest, EmplaceBackValueInitializesAReusedSlot) {
+  RingBuffer<SlotRecord> ring(2);
+  SlotRecord& first = ring.emplace_back();
+  first.id = 7;
+  for (int& c : first.counts) c = -1;
+  first.flag = true;
+  first.spill.assign(1000, 42);  // heap storage the slot must release
+  ring.pop_back();
+  SlotRecord& again = ring.emplace_back();
+  EXPECT_EQ(&again, &first) << "reuses the popped slot";
+  EXPECT_EQ(&again, &ring.back());
+  EXPECT_EQ(again.id, 0u);
+  for (const int c : again.counts) EXPECT_EQ(c, 0);
+  EXPECT_FALSE(again.flag);
+  EXPECT_TRUE(again.spill.empty());
+  EXPECT_EQ(again.spill.capacity(), 0u);
+  // The same past the wrap: slot 0 is freed at the front, then reused
+  // by an append after slot 1.
+  again.spill.assign(10, 1);
+  ring.emplace_back().spill.assign(20, 2);
+  ring.pop_front();
+  SlotRecord& wrapped = ring.emplace_back();
+  EXPECT_EQ(&wrapped, &first);
+  EXPECT_TRUE(wrapped.spill.empty());
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.front().spill.size(), 20u) << "the live neighbour is kept";
 }
 
 }  // namespace

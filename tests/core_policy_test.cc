@@ -1,5 +1,5 @@
 // Focused behavioural tests of the SafeSpec policies inside the core:
-// promotion timing, TLB isolation, store-queue details, and control-flow
+// promotion timing, TLB isolation, store-queue ordering, and control-flow
 // corner cases that the end-to-end attack tests exercise only indirectly.
 #include <gtest/gtest.h>
 
@@ -300,6 +300,17 @@ TEST(Flush, CommittedClflushEvictsEveryLevel) {
   EXPECT_FALSE(s.core().hierarchy().resident_l3(line_of(kData)));
 }
 
+/// A machine with `config`'s fields (Table I by default) running
+/// `program` under `policy_name`, its text mapped.
+std::unique_ptr<sim::Simulator> make_policy_sim(
+    const isa::Program& program, const std::string& policy_name,
+    cpu::CoreConfig config = sim::skylake_config()) {
+  config.policy = policy_name;
+  auto s = std::make_unique<sim::Simulator>(config, program);
+  s->map_text();
+  return s;
+}
+
 // ---- commit_xor forwarding semantics --------------------------------------
 // The commit_xor mutation hook XORs a constant into every *architectural*
 // register writeback — and nothing else. In-flight consumers (operand
@@ -315,11 +326,8 @@ std::unique_ptr<sim::Simulator> run_with_commit_xor(
     const isa::Program& program, const std::string& policy_name,
     std::uint64_t commit_xor) {
   cpu::CoreConfig config = sim::skylake_config();
-  config.policy = policy_name;
   config.mutation.commit_xor = commit_xor;
-  auto s = std::make_unique<sim::Simulator>(config, program);
-  s->map_text();
-  return s;
+  return make_policy_sim(program, policy_name, config);
 }
 
 constexpr std::uint64_t kXor = 0x5A5AF00D0000FFFFULL;
@@ -428,6 +436,167 @@ TEST(CommitXorForwarding, PostCommitConsumersReadXoredRegisterFile) {
     ASSERT_EQ(s->run().stop, cpu::StopReason::kHalted) << policy;
     EXPECT_EQ(s->core().reg(1), 7u ^ kXor) << policy;
     EXPECT_EQ(s->core().reg(2), ((7u ^ kXor) + 1u) ^ kXor) << policy;
+  }
+}
+
+// ---- store-queue ordering ----------------------------------------------------
+// A load's disambiguation visits only the store-queue entries older than
+// it: any with an unknown address blocks it, and the youngest one to the
+// same word forwards its data. These cases pin that ordering — including
+// across a squash that rewinds seqs and a full queue — under every
+// registered policy.
+
+TEST(StoreQueue, YoungerStoreNeverForwardsToOlderLoad) {
+  // The load's address waits on a cold miss, so the younger store to the
+  // same word has issued, its address known, long before the load does.
+  constexpr Addr kData = 0x7F0000;
+  constexpr Addr kSlow = 0x7F1000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kData).movi(2, kSlow);
+  b.load(3, 2, 0);              // cold miss: 0
+  b.alu(AluOp::kAdd, 4, 1, 3);  // kData, known only after the miss
+  b.load(5, 4, 0);              // the older load
+  b.movi(6, 0x33).store(6, 1, 0);  // the younger store, same word
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  for (const auto& policy : policy::registered_policy_names()) {
+    auto s = make_policy_sim(prog, policy);
+    s->map_region(kData, kPageSize);
+    s->map_region(kSlow, kPageSize);
+    s->poke(kData, 0x55);
+    ASSERT_EQ(s->run().stop, cpu::StopReason::kHalted) << policy;
+    EXPECT_EQ(s->core().reg(5), 0x55u) << policy << ": reads memory";
+    EXPECT_EQ(s->peek(kData), 0x33u) << policy;
+  }
+}
+
+TEST(StoreQueue, LoadWaitsForOlderStoreAddressThenForwards) {
+  // The older store's base register comes from a cold-missing load, so
+  // its address is unknown while the load's is ready at once. The load
+  // must wait for it, then take its data: reading memory early would see
+  // the old value, since the store writes memory only at commit.
+  constexpr Addr kData = 0x7F2000;
+  constexpr Addr kPtr = 0x7F3000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kPtr);
+  b.load(2, 1, 0);                 // cold miss: kData
+  b.movi(3, 0x99).store(3, 2, 0);  // address known only after the miss
+  b.movi(4, kData).load(5, 4, 0);  // same word, address ready at once
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  for (const auto& policy : policy::registered_policy_names()) {
+    auto s = make_policy_sim(prog, policy);
+    s->map_region(kData, kPageSize);
+    s->map_region(kPtr, kPageSize);
+    s->poke(kPtr, kData);
+    s->poke(kData, 0x11);
+    ASSERT_EQ(s->run().stop, cpu::StopReason::kHalted) << policy;
+    EXPECT_EQ(s->core().reg(5), 0x99u) << policy << ": forwarded";
+    EXPECT_EQ(s->peek(kData), 0x99u) << policy;
+  }
+}
+
+TEST(StoreQueue, SquashedWrongPathStoresNeitherForwardNorBlock) {
+  // A mispredicted branch's wrong path holds two stores to the load's
+  // word: one with a known address (it would forward) and one whose base
+  // comes from a cold miss still in flight at the squash (it would
+  // block). After the rewind the correct path reuses their seqs, the
+  // load landing on the second store's; it must read memory's value.
+  // With a two-entry STQ the squash must also free both entries, or the
+  // correct path's own store could never dispatch.
+  constexpr Addr kData = 0x7F4000;
+  constexpr Addr kSlow = 0x7F5000;
+  constexpr Addr kChase = 0x7F6000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kData).movi(2, kSlow).movi(7, 0xBAD);
+  b.load(3, 2, 0);        // cold miss: the branch condition (0)
+  b.load(10, 3, kChase);  // second miss, issued with the branch: kData
+  b.branch(CondOp::kGeu, 3, kZeroReg, "skip");  // always taken; cold
+                                                // counters predict not
+  b.store(7, 1, 0);   // wrong path, address known
+  b.store(7, 10, 0);  // wrong path, address unknown at the squash
+  b.halt();
+  b.label("skip").movi(9, 1);
+  b.load(4, 1, 0);   // reuses the second wrong-path store's seq
+  b.store(9, 1, 8);  // the correct path's store, to the next word
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  for (const auto& policy : policy::registered_policy_names()) {
+    for (const int stq_entries : {sim::skylake_config().stq_entries, 2}) {
+      cpu::CoreConfig config = sim::skylake_config();
+      config.stq_entries = stq_entries;
+      auto s = make_policy_sim(prog, policy, config);
+      s->map_region(kData, kPageSize);
+      s->map_region(kSlow, kPageSize);
+      s->map_region(kChase, kPageSize);
+      s->poke(kChase, kData);
+      s->poke(kData, 0x55);
+      const std::string cell = policy + " stq=" + std::to_string(stq_entries);
+      ASSERT_EQ(s->run().stop, cpu::StopReason::kHalted) << cell;
+      EXPECT_GE(s->core().stats().mispredicts, 1u) << cell;
+      EXPECT_EQ(s->core().reg(10), kData) << cell;
+      EXPECT_EQ(s->core().reg(4), 0x55u) << cell << ": reads memory";
+      EXPECT_EQ(s->peek(kData), 0x55u) << cell;
+      EXPECT_EQ(s->peek(kData + 8), 1u) << cell;
+    }
+  }
+}
+
+TEST(StoreQueue, FullStoreQueueStallsDispatchAndDrainsInOrder) {
+  // Eight stores queue up behind a cold-missing load that holds the
+  // commit stream. With a two-entry STQ the third store stalls dispatch,
+  // so the run takes longer than with Table I's 56 entries; either way
+  // every store reaches memory exactly once, in program order.
+  constexpr Addr kData = 0x7F7000;
+  constexpr Addr kSlow = 0x7F8000;
+  constexpr int kStores = 8;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kData).movi(2, kSlow);
+  b.load(3, 2, 0);
+  for (int i = 0; i < kStores; ++i) b.movi(4, i + 1).store(4, 1, 8 * i);
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  // Steps cycle by cycle, checking after each one that the stored words
+  // fill in program order; returns the run's cycle count.
+  const auto run_checking_order = [&](const std::string& policy,
+                                      int stq_entries) {
+    cpu::CoreConfig config = sim::skylake_config();
+    config.stq_entries = stq_entries;
+    auto s = make_policy_sim(prog, policy, config);
+    s->map_region(kData, kPageSize);
+    s->map_region(kSlow, kPageSize);
+    const auto word = [&](int i) {
+      return s->peek(kData + 8 * static_cast<Addr>(i));
+    };
+    int written = 0;
+    bool in_order = true;
+    for (int i = 0; i < 20000 && !s->core().halted(); ++i) {
+      s->core().step();
+      int prefix = 0;
+      while (prefix < kStores && word(prefix) != 0) ++prefix;
+      for (int j = prefix; j < kStores; ++j) in_order &= word(j) == 0;
+      in_order &= prefix >= written;
+      written = prefix;
+    }
+    EXPECT_TRUE(s->core().halted()) << policy;
+    EXPECT_TRUE(in_order) << policy << " stq=" << stq_entries;
+    for (int i = 0; i < kStores; ++i) {
+      EXPECT_EQ(word(i), static_cast<std::uint64_t>(i + 1)) << policy;
+    }
+    EXPECT_EQ(s->core().stats().committed_stores,
+              static_cast<std::uint64_t>(kStores))
+        << policy;
+    return s->core().stats().cycles;
+  };
+  for (const auto& policy : policy::registered_policy_names()) {
+    const Cycle full_stq = run_checking_order(policy, 2);
+    const Cycle table1 =
+        run_checking_order(policy, sim::skylake_config().stq_entries);
+    EXPECT_GT(full_stq, table1) << policy << ": dispatch stalled";
   }
 }
 
