@@ -3,8 +3,8 @@
 // allocator on growth, and scatters elements across pages; the pipeline
 // queues have hard architectural capacity bounds, so a power-of-two ring
 // over one contiguous slab gives O(1) push/pop at both ends, O(1) random
-// access, and cache-friendly iteration — the properties the per-cycle ROB
-// walks live on.
+// access (the slot math behind the core's find_by_seq), and in-place slots
+// that emplace_back() rebuilds without touching the allocator.
 #pragma once
 
 #include <cassert>

@@ -4,39 +4,30 @@
 
 namespace safespec::memory {
 
-Cache::Cache(const CacheConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
-  if (num_sets_ <= 0 || config_.ways <= 0) {
+namespace {
+int checked_sets(const CacheConfig& config) {
+  if (config.ways <= 0 || config.line_bytes <= 0 || config.num_sets() <= 0) {
     throw std::invalid_argument("Cache: size/ways/line geometry invalid");
   }
-  if (config_.size_bytes % (static_cast<std::uint64_t>(config_.ways) *
-                            config_.line_bytes) !=
+  if (config.size_bytes % (static_cast<std::uint64_t>(config.ways) *
+                           config.line_bytes) !=
       0) {
     throw std::invalid_argument("Cache: size not divisible by way size");
   }
-  ways_.resize(static_cast<std::size_t>(num_sets_) * config_.ways);
-  repl_.reserve(num_sets_);
-  for (int s = 0; s < num_sets_; ++s) {
-    repl_.emplace_back(config_.policy, config_.ways,
-                       config_.seed + static_cast<std::uint64_t>(s));
-  }
+  return config.num_sets();
 }
+}  // namespace
 
-int Cache::find_way(int set, Addr line) const {
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-  for (int w = 0; w < config_.ways; ++w) {
-    const Way& way = ways_[base + w];
-    if (way.valid && way.tag == line) return w;
-  }
-  return -1;
-}
+Cache::Cache(const CacheConfig& config)
+    : config_(config),
+      store_(checked_sets(config), config.ways, config.policy, config.seed,
+             /*owners=*/true,
+             /*forced_draws=*/config.protection == CacheProtection::kSharp) {}
 
-bool Cache::access(Addr line, bool update_replacement, bool count_stats,
-                   int owner) {
-  const int set = set_of(line);
-  const int way = find_way(set, line);
-  if (way >= 0) {
-    if (update_replacement) repl_[set].touch(way, ++tick_, owner);
+bool Cache::access(Addr line, bool update_replacement, bool count_stats) {
+  const std::size_t slot = store_.find(line);
+  if (slot != SetAssoc::kNone) {
+    if (update_replacement) store_.touch(slot, ++tick_);
     if (count_stats) ++pending_hits_;
     return true;
   }
@@ -44,56 +35,41 @@ bool Cache::access(Addr line, bool update_replacement, bool count_stats,
   return false;
 }
 
-bool Cache::probe(Addr line) const { return find_way(set_of(line), line) >= 0; }
+bool Cache::probe(Addr line) const {
+  return store_.find(line) != SetAssoc::kNone;
+}
 
 int Cache::owner_of(Addr line) const {
-  const int set = set_of(line);
-  const int way = find_way(set, line);
-  return way < 0 ? -1 : repl_[set].owner_of(way);
+  const std::size_t slot = store_.find(line);
+  return slot == SetAssoc::kNone ? -1 : store_.owner(slot);
 }
 
 std::optional<Addr> Cache::fill(Addr line, int owner) {
   ++tick_;
-  const int set = set_of(line);
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-
-  // Already present: refresh recency, no eviction.
-  if (const int existing = find_way(set, line); existing >= 0) {
-    repl_[set].fill(existing, tick_, owner);
-    return std::nullopt;
-  }
-  // Free way available.
-  for (int w = 0; w < config_.ways; ++w) {
-    Way& way = ways_[base + w];
-    if (!way.valid) {
-      way.valid = true;
-      way.tag = line;
-      repl_[set].fill(w, tick_, owner);
-      return std::nullopt;
+  const int set = store_.set_of(line);
+  // Already present (refresh recency, no eviction) or a free way.
+  std::size_t slot = store_.resident_or_empty(set, line);
+  std::optional<Addr> evicted;
+  if (slot == SetAssoc::kNone) {
+    // Evict. Under kSharp the victim prefers requester-owned ways and a
+    // forced cross-owner eviction raises an alarm; kDetectOnly keeps the
+    // owner-blind choice (timing identical to kNone) but alarms on every
+    // cross-owner eviction it observes.
+    VictimChoice choice;
+    if (config_.protection == CacheProtection::kSharp) {
+      choice = store_.protected_victim(set, owner);
+    } else {
+      choice.slot = store_.victim(set);
     }
+    slot = choice.slot;
+    if (store_.owner(slot) != owner) {
+      ++cross_owner_evictions_;
+      if (config_.protection == CacheProtection::kDetectOnly) record_alarm();
+    }
+    if (choice.forced) record_alarm();
+    evicted = store_.tag(slot);
   }
-  // Evict. Under kSharp the victim prefers requester-owned ways and a
-  // forced cross-owner eviction raises an alarm; kDetectOnly keeps the
-  // owner-blind choice (timing identical to kNone) but alarms on every
-  // cross-owner eviction it observes.
-  int victim;
-  bool forced = false;
-  if (config_.protection == CacheProtection::kSharp) {
-    const VictimChoice choice = repl_[set].protected_victim(tick_, owner);
-    victim = choice.way;
-    forced = choice.forced;
-  } else {
-    victim = repl_[set].victim(tick_, owner);
-  }
-  if (repl_[set].owner_of(victim) != owner) {
-    ++cross_owner_evictions_;
-    if (config_.protection == CacheProtection::kDetectOnly) record_alarm();
-  }
-  if (forced) record_alarm();
-  Way& way = ways_[base + victim];
-  const Addr evicted = way.tag;
-  way.tag = line;
-  repl_[set].fill(victim, tick_, owner);
+  store_.fill(slot, line, tick_, owner);
   return evicted;
 }
 
@@ -107,21 +83,14 @@ void Cache::record_alarm() {
 }
 
 bool Cache::invalidate(Addr line) {
-  const int set = set_of(line);
-  const int way = find_way(set, line);
-  if (way < 0) return false;
-  ways_[static_cast<std::size_t>(set) * config_.ways + way].valid = false;
+  const std::size_t slot = store_.find(line);
+  if (slot == SetAssoc::kNone) return false;
+  store_.erase(slot);
   return true;
 }
 
-void Cache::flush_all() {
-  for (Way& way : ways_) way.valid = false;
-}
+void Cache::flush_all() { store_.clear(); }
 
-std::size_t Cache::occupancy() const {
-  std::size_t n = 0;
-  for (const Way& way : ways_) n += way.valid ? 1 : 0;
-  return n;
-}
+std::size_t Cache::occupancy() const { return store_.occupancy(); }
 
 }  // namespace safespec::memory

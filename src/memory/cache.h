@@ -9,11 +9,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "memory/replacement.h"
+#include "memory/set_assoc.h"
 
 namespace safespec::memory {
 
@@ -60,12 +59,10 @@ class Cache {
   /// used for page-walker traffic so that the reported "read miss rate"
   /// counts program accesses identically under every protection mode.
   ///
-  /// `owner` attributes the access to a requesting context (core id at
-  /// the shared L2/L3, always 0 for private levels); it feeds the
-  /// replacement hooks and the cross-owner eviction counter and never
-  /// changes hit/miss behaviour.
+  /// A hit never transfers ownership, so an access takes no owner: only
+  /// fill() records who owns a line.
   bool access(Addr line, bool update_replacement = true,
-              bool count_stats = true, int owner = 0);
+              bool count_stats = true);
 
   /// Lookup with no side effects (no LRU update, no stats). The attack
   /// receivers use the *timed* path instead; probe() is for tests.
@@ -99,9 +96,7 @@ class Cache {
 
   /// Set index a line maps to (exposed for eviction-set construction in
   /// the Prime+Probe receiver and tests).
-  int set_of(Addr line) const {
-    return static_cast<int>(line % static_cast<Addr>(num_sets_));
-  }
+  int set_of(Addr line) const { return store_.set_of(line); }
 
   /// The context that filled a resident line, or -1 when absent (shared-
   /// level attribution; tests and the cross-core attack harness).
@@ -124,13 +119,6 @@ class Cache {
   std::uint64_t sharp_detections() const { return sharp_detections_; }
 
  private:
-  struct Way {
-    Addr tag = 0;
-    bool valid = false;
-  };
-
-  int find_way(int set, Addr line) const;
-
   /// Bumps the alarm counter and rolls the detector epoch lazily: when
   /// the stamp clock has moved past the current epoch the window restarts
   /// before the alarm is recorded, and a detection fires the moment an
@@ -153,9 +141,7 @@ class Cache {
   }
 
   CacheConfig config_;
-  int num_sets_;
-  std::vector<Way> ways_;                       // num_sets_ * config_.ways
-  std::vector<ReplacementState> repl_;          // one per set
+  SetAssoc store_;
   /// Replacement stamp clock: advanced only when a stamp is written
   /// (touch/fill). LRU/FIFO compare stamp order, not values, so skipping
   /// the bump on non-stamping accesses changes no eviction decision.

@@ -24,10 +24,10 @@ void SharedLevels::back_invalidate_l1s(Addr line) {
 
 AccessOutcome SharedLevels::access_below_l1(Addr line, bool touch, bool fill,
                                             bool count_stats, int owner) {
-  if (l2_.access(line, touch, count_stats, owner)) {
+  if (l2_.access(line, touch, count_stats)) {
     return {l2_.config().hit_latency, HitLevel::kL2};
   }
-  if (l3_.access(line, touch, count_stats, owner)) {
+  if (l3_.access(line, touch, count_stats)) {
     // Historical L3-hit path: the L2 fill's eviction is not
     // back-invalidated (the line stays in whatever L1s hold it).
     if (fill) l2_.fill(line, owner);
@@ -85,7 +85,7 @@ AccessOutcome CacheHierarchy::timed_access(Addr paddr, Side side, Fill fill,
   // replacement-recency updates (§IV-A).
   const bool touch = fill == Fill::kYes;
 
-  if (l1.access(line, touch, count_stats, owner_)) {
+  if (l1.access(line, touch, count_stats)) {
     return {l1.config().hit_latency, HitLevel::kL1};
   }
   const AccessOutcome below = shared_->access_below_l1(

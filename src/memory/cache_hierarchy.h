@@ -11,8 +11,8 @@
 //
 // Multi-core split: the L1s are per-core (one CacheHierarchy per core),
 // while L2/L3 live in a SharedLevels object that several hierarchies can
-// attach to. Every shared-level request carries the owning core id into
-// Cache/ReplacementState, and an inclusive eviction at L2/L3
+// attach to. Every shared-level fill records the owning core id in the
+// level's SetAssoc ways, and an inclusive eviction at L2/L3
 // back-invalidates the L1s of *every* attached core — which is exactly
 // the remote-eviction channel the cross-core attacks probe. A hierarchy
 // constructed without an external SharedLevels owns a private one
@@ -33,8 +33,8 @@ class CacheHierarchy;
 /// Which structure ultimately supplied the data.
 enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kMemory };
 
-/// Configuration of the whole hierarchy (Table II defaults are in
-/// sim/sim_config.h).
+/// Configuration of the whole hierarchy (the Table II defaults are the
+/// "skylake" preset in sim/machine.cc).
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I", .size_bytes = 32 * 1024, .ways = 8,
                   .line_bytes = 64, .hit_latency = 4};

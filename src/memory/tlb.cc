@@ -4,88 +4,60 @@
 
 namespace safespec::memory {
 
-Tlb::Tlb(const TlbConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
-  if (config_.entries <= 0 || config_.ways <= 0 ||
-      config_.entries % config_.ways != 0) {
+namespace {
+int checked_sets(const TlbConfig& config) {
+  if (config.entries <= 0 || config.ways <= 0 ||
+      config.entries % config.ways != 0) {
     throw std::invalid_argument("Tlb: entries must divide evenly into ways");
   }
-  ways_.resize(static_cast<std::size_t>(config_.entries));
-  repl_.reserve(num_sets_);
-  for (int s = 0; s < num_sets_; ++s) {
-    repl_.emplace_back(config_.policy, config_.ways,
-                       config_.seed + static_cast<std::uint64_t>(s));
-  }
+  return config.num_sets();
 }
+}  // namespace
 
-int Tlb::find_way(int set, Addr vpage) const {
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-  for (int w = 0; w < config_.ways; ++w) {
-    const Way& way = ways_[base + w];
-    if (way.valid && way.entry.vpage == vpage) return w;
-  }
-  return -1;
-}
+Tlb::Tlb(const TlbConfig& config)
+    : config_(config),
+      store_(checked_sets(config), config.ways, config.policy, config.seed,
+             /*owners=*/false, /*forced_draws=*/false),
+      entries_(static_cast<std::size_t>(config.entries)) {}
 
 std::optional<TlbEntry> Tlb::access(Addr vpage) {
-  const int set = set_of(vpage);
-  const int way = find_way(set, vpage);
-  if (way >= 0) {
-    repl_[set].touch(way, ++tick_);
+  const std::size_t slot = store_.find(vpage);
+  if (slot != SetAssoc::kNone) {
+    store_.touch(slot, ++tick_);
     ++pending_hits_;
-    return ways_[static_cast<std::size_t>(set) * config_.ways + way].entry;
+    return entries_[slot];
   }
   ++pending_misses_;
   return std::nullopt;
 }
 
 bool Tlb::probe(Addr vpage) const {
-  return find_way(set_of(vpage), vpage) >= 0;
+  return store_.find(vpage) != SetAssoc::kNone;
 }
 
 std::optional<Addr> Tlb::fill(const TlbEntry& entry) {
   ++tick_;
-  const int set = set_of(entry.vpage);
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-
-  if (const int existing = find_way(set, entry.vpage); existing >= 0) {
-    ways_[base + existing].entry = entry;
-    repl_[set].fill(existing, tick_);
-    return std::nullopt;
+  const int set = store_.set_of(entry.vpage);
+  std::size_t slot = store_.resident_or_empty(set, entry.vpage);
+  std::optional<Addr> evicted;
+  if (slot == SetAssoc::kNone) {
+    slot = store_.victim(set);
+    evicted = store_.tag(slot);
   }
-  for (int w = 0; w < config_.ways; ++w) {
-    Way& way = ways_[base + w];
-    if (!way.valid) {
-      way.valid = true;
-      way.entry = entry;
-      repl_[set].fill(w, tick_);
-      return std::nullopt;
-    }
-  }
-  const int victim = repl_[set].victim(tick_);
-  Way& way = ways_[base + victim];
-  const Addr evicted = way.entry.vpage;
-  way.entry = entry;
-  repl_[set].fill(victim, tick_);
+  store_.fill(slot, entry.vpage, tick_);
+  entries_[slot] = entry;
   return evicted;
 }
 
 bool Tlb::invalidate(Addr vpage) {
-  const int set = set_of(vpage);
-  const int way = find_way(set, vpage);
-  if (way < 0) return false;
-  ways_[static_cast<std::size_t>(set) * config_.ways + way].valid = false;
+  const std::size_t slot = store_.find(vpage);
+  if (slot == SetAssoc::kNone) return false;
+  store_.erase(slot);
   return true;
 }
 
-void Tlb::flush_all() {
-  for (Way& way : ways_) way.valid = false;
-}
+void Tlb::flush_all() { store_.clear(); }
 
-std::size_t Tlb::occupancy() const {
-  std::size_t n = 0;
-  for (const Way& way : ways_) n += way.valid ? 1 : 0;
-  return n;
-}
+std::size_t Tlb::occupancy() const { return store_.occupancy(); }
 
 }  // namespace safespec::memory

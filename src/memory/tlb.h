@@ -10,7 +10,7 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "memory/replacement.h"
+#include "memory/set_assoc.h"
 
 namespace safespec::memory {
 
@@ -61,16 +61,6 @@ class Tlb {
   }
 
  private:
-  struct Way {
-    TlbEntry entry;
-    bool valid = false;
-  };
-
-  int set_of(Addr vpage) const {
-    return static_cast<int>(vpage % static_cast<Addr>(num_sets_));
-  }
-  int find_way(int set, Addr vpage) const;
-
   /// Folds batched access tallies into the named counters (see
   /// Cache::flush_stats — same contract: readers flush, observable
   /// statistics are bit-identical to per-access bumps).
@@ -86,9 +76,8 @@ class Tlb {
   }
 
   TlbConfig config_;
-  int num_sets_;
-  std::vector<Way> ways_;
-  std::vector<ReplacementState> repl_;
+  SetAssoc store_;  ///< tags are vpages
+  std::vector<TlbEntry> entries_;  ///< per slot; valid where tagged
   /// Stamp clock, advanced only at stamp-writing events (see Cache).
   std::uint64_t tick_ = 0;
   mutable HitMiss stats_;

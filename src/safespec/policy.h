@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "memory/replacement.h"
+#include "memory/set_assoc.h"
 #include "safespec/shadow_structures.h"
 
 namespace safespec::memory {

@@ -829,11 +829,17 @@ std::unique_ptr<Simulator> MachineBuilder::build(isa::Program program) const {
   spec_.validate();
   auto sim = std::make_unique<Simulator>(spec_.core, std::move(program));
   sim->set_sampling(spec_.sampling);
-  if (spec_.map_text) sim->map_text();
+  // Every core runs the same program over the same initial image: set
+  // up core 0's once, then copy it to the other cores.
+  if (spec_.map_text) sim->map_text_on(0);
   for (const MemRegion& region : spec_.regions) {
-    sim->map_region(region.base, region.bytes, region.perm);
+    sim->map_region_on(0, region.base, region.bytes, region.perm);
   }
-  for (const Poke& poke : spec_.pokes) sim->poke(poke.addr, poke.value);
+  for (const Poke& poke : spec_.pokes) sim->poke_on(0, poke.addr, poke.value);
+  for (int c = 1; c < sim->num_cores(); ++c) {
+    sim->memory(c) = sim->memory(0);
+    sim->page_table(c) = sim->page_table(0);
+  }
   return sim;
 }
 

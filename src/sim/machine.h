@@ -139,7 +139,8 @@ class MachineBuilder {
   const MachineSpec& spec() const { return spec_; }
 
   /// Validates the spec and yields a ready-to-run simulator: program
-  /// text mapped (unless map_text=false), regions mapped, pokes applied.
+  /// text mapped (unless map_text=false), regions mapped, pokes applied
+  /// — once, into core 0's image, which the other cores then copy.
   /// Propagates MachineSpec::validate()'s exceptions
   /// (std::invalid_argument, or std::out_of_range for unknown names).
   std::unique_ptr<Simulator> build(isa::Program program) const;

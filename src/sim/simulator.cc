@@ -92,13 +92,16 @@ void Simulator::map_region_on(int c, Addr base, std::uint64_t bytes,
 }
 
 void Simulator::map_text() {
-  for (const auto& ctx : ctx_) {
-    for (const Addr pc : ctx->program.pcs()) {
-      const Addr page = page_of(pc);
-      if (!ctx->mem.is_mapped(page)) {
-        ctx->mem.map_page(page, memory::PagePerm::kUser);
-        ctx->page_table.map_identity(page, /*kernel_only=*/false);
-      }
+  for (int c = 0; c < num_cores(); ++c) map_text_on(c);
+}
+
+void Simulator::map_text_on(int c) {
+  CoreContext& ctx = *ctx_[c];
+  for (const Addr pc : ctx.program.pcs()) {
+    const Addr page = page_of(pc);
+    if (!ctx.mem.is_mapped(page)) {
+      ctx.mem.map_page(page, memory::PagePerm::kUser);
+      ctx.page_table.map_identity(page, /*kernel_only=*/false);
     }
   }
 }

@@ -184,6 +184,8 @@ class Simulator {
   /// Convenience: in each core's address space, map the pages every
   /// instruction of that core's program sits on.
   void map_text();
+  /// Same, in core `c`'s address space only.
+  void map_text_on(int c);
 
   /// Writes a 64-bit value into every core's architectural memory
   /// (pre-run setup; the images are private per core).

@@ -18,21 +18,21 @@ std::unique_ptr<sim::Simulator> make_image_sim(
   // grids); the strict §V bound is enforced on user-authored specs by
   // resolve_machine / from_json, not on this internal path.
   spec.allow_undersized_shadows = true;
-  sim::MachineBuilder builder{std::move(spec)};
   // Trace-loaded images carry their address space in `regions` and have
   // no data_base region (validate() rejects zero-byte regions).
   if (image.data_bytes != 0) {
-    builder.map_region(image.data_base, image.data_bytes);
+    spec.regions.push_back({image.data_base, image.data_bytes});
   }
   for (const WorkloadRegion& region : image.regions) {
-    builder.map_region(region.base, region.bytes,
-                       region.kernel ? memory::PagePerm::kKernel
-                                     : memory::PagePerm::kUser);
+    spec.regions.push_back({region.base, region.bytes,
+                            region.kernel ? memory::PagePerm::kKernel
+                                          : memory::PagePerm::kUser});
   }
+  spec.pokes.reserve(image.init_words.size());
   for (const auto& [addr, value] : image.init_words) {
-    builder.poke(addr, value);
+    spec.pokes.push_back({addr, value});
   }
-  return builder.build(std::move(image.program));
+  return sim::MachineBuilder{std::move(spec)}.build(std::move(image.program));
 }
 
 sim::SimResult run_workload(const WorkloadProfile& profile,

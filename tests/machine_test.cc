@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "isa/program.h"
 #include "safespec/policy.h"
@@ -338,6 +340,101 @@ TEST(MachineBuilderTest, BuildsReadyToRunSimulator) {
   EXPECT_EQ(result.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(sim->core().reg(1), 7u);
   EXPECT_EQ(sim->core().config().policy, "WFC");
+}
+
+void expect_same_translation(const memory::Translation& got,
+                             const memory::Translation& want, Addr page) {
+  EXPECT_EQ(got.present, want.present) << "page " << page;
+  EXPECT_EQ(got.ppage, want.ppage) << "page " << page;
+  EXPECT_EQ(got.kernel_only, want.kernel_only) << "page " << page;
+}
+
+TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
+  constexpr Addr kUser = 0x200000;
+  constexpr std::uint64_t kUserBytes = 8 * kPageSize;
+  constexpr Addr kKernel = 0x400000;
+  MachineBuilder builder = MachineBuilder::from_preset("skylake")
+                               .cores(4)
+                               .map_region(kUser, kUserBytes)
+                               .map_region(kKernel, kPageSize,
+                                           memory::PagePerm::kKernel);
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    builder.poke(kUser + 8 * i, i * 0x9e3779b97f4a7c15ULL + 1);
+  }
+  builder.poke(kKernel + 64, 0x5ec7e7);
+  auto sim = builder.build(tiny_program());
+  ASSERT_EQ(sim->num_cores(), 4);
+
+  // Core 0 holds the image: text, both regions and every poke.
+  const auto words = sim->memory(0).nonzero_words();
+  EXPECT_EQ(words.size(), 3001u);
+  EXPECT_EQ(sim->memory(0).page_perm(page_of(0x1000)),
+            memory::PagePerm::kUser);
+  EXPECT_EQ(sim->memory(0).page_perm(page_of(kKernel)),
+            memory::PagePerm::kKernel);
+  EXPECT_TRUE(sim->page_table(0).translate(page_of(kKernel)).kernel_only);
+
+  // Every other core holds an identical copy. The unmapped page just
+  // past the kernel region checks that nothing extra was mapped.
+  std::vector<Addr> pages = {page_of(0x1000), page_of(kKernel),
+                             page_of(kKernel) + 1};
+  for (Addr page = page_of(kUser); page <= page_of(kUser + kUserBytes - 1);
+       ++page) {
+    pages.push_back(page);
+  }
+  for (int c = 1; c < sim->num_cores(); ++c) {
+    SCOPED_TRACE("core " + std::to_string(c));
+    EXPECT_EQ(sim->memory(c).nonzero_words(), words);
+    EXPECT_EQ(sim->page_table(c).mapped_pages(),
+              sim->page_table(0).mapped_pages());
+    for (Addr page : pages) {
+      EXPECT_EQ(sim->memory(c).page_perm(page),
+                sim->memory(0).page_perm(page))
+          << "page " << page;
+      expect_same_translation(sim->page_table(c).translate(page),
+                              sim->page_table(0).translate(page), page);
+    }
+  }
+
+  // Copies, not shared pages: a write after build reaches one core only.
+  const std::uint64_t before = sim->peek(kUser);
+  sim->poke_on(1, kUser, 0xabc);
+  sim->poke_on(1, kUser + kUserBytes - 8, 0xdef);  // a page no poke touched
+  for (int c = 0; c < sim->num_cores(); ++c) {
+    EXPECT_EQ(sim->peek_on(c, kUser), c == 1 ? 0xabcu : before) << c;
+    EXPECT_EQ(sim->peek_on(c, kUser + kUserBytes - 8), c == 1 ? 0xdefu : 0u)
+        << c;
+  }
+  sim->map_region_on(2, 0x800000, kPageSize);
+  for (int c = 0; c < sim->num_cores(); ++c) {
+    EXPECT_EQ(sim->memory(c).is_mapped(page_of(0x800000)), c == 2) << c;
+    EXPECT_EQ(sim->page_table(c).translate(page_of(0x800000)).present,
+              c == 2)
+        << c;
+  }
+}
+
+TEST(MachineBuilderTest, HeterogeneousMachineMapsEachCoresOwnText) {
+  constexpr Addr kSecondText = 0x80000;
+  isa::ProgramBuilder b(kSecondText);
+  b.movi(1, 9).halt();
+  isa::Program second = b.build();
+  second.set_entry(kSecondText);
+  std::vector<isa::Program> programs;
+  programs.push_back(tiny_program());
+  programs.push_back(std::move(second));
+  sim::Simulator sim(sim::machine_preset("skylake").core,
+                     std::move(programs));
+  sim.map_text();
+  EXPECT_TRUE(sim.memory(0).is_mapped(page_of(0x1000)));
+  EXPECT_FALSE(sim.memory(0).is_mapped(page_of(kSecondText)));
+  EXPECT_TRUE(sim.memory(1).is_mapped(page_of(kSecondText)));
+  EXPECT_FALSE(sim.memory(1).is_mapped(page_of(0x1000)));
+  EXPECT_TRUE(sim.page_table(1).translate(page_of(kSecondText)).present);
+  EXPECT_FALSE(sim.page_table(1).translate(page_of(0x1000)).present);
+  sim.run();
+  EXPECT_EQ(sim.core(0).reg(1), 7u);
+  EXPECT_EQ(sim.core(1).reg(1), 9u);
 }
 
 TEST(MachineBuilderTest, ValidationFailuresSurfaceAtBuild) {

@@ -3,11 +3,41 @@
 // hierarchy behaviour, TLB, and the page table / walker.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "memory/cache.h"
 #include "memory/cache_hierarchy.h"
 #include "memory/main_memory.h"
 #include "memory/page_table.h"
 #include "memory/tlb.h"
+#include "sim/machine.h"
+
+// Heap allocations counted while `g_counting` is set: this binary
+// replaces the global operator new so a test can pin how many blocks
+// building a cache or TLB level takes.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  if (g_counting) ++g_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace safespec::memory {
 namespace {
@@ -168,76 +198,97 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementSweep,
                          ::testing::Values(ReplPolicy::kLru, ReplPolicy::kFifo,
                                            ReplPolicy::kRandom));
 
-// ---- ReplacementState: victim tie-breaks and owner attribution -------------
+// ---- SetAssoc: victim tie-breaks and owner attribution ---------------------
+
+// One set of `ways` ways, so a slot is its way index. Owners are kept, as
+// in a cache; `forced_draws` gives the set an Rng for SHARP's forced pick.
+SetAssoc one_set(ReplPolicy policy, int ways, std::uint64_t seed = 1,
+                 bool forced_draws = false) {
+  return SetAssoc(1, ways, policy, seed, /*owners=*/true, forced_draws);
+}
 
 TEST(Replacement, LruTieBreaksToLowestWay) {
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
-  for (int w = 0; w < 4; ++w) repl.fill(w, /*tick=*/10);
-  EXPECT_EQ(repl.victim(11), 0);  // equal stamps: lowest way index wins
-  repl.touch(0, 12);              // LRU: a hit rescues way 0
-  EXPECT_EQ(repl.victim(13), 1);
+  SetAssoc set = one_set(ReplPolicy::kLru, 4);
+  for (int w = 0; w < 4; ++w) set.fill(w, /*key=*/100 + w, /*tick=*/10);
+  EXPECT_EQ(set.victim(0), 0u);  // equal stamps: lowest way index wins
+  set.touch(0, 12);              // LRU: a hit rescues way 0
+  EXPECT_EQ(set.victim(0), 1u);
 }
 
 TEST(Replacement, FifoTieBreaksToLowestWayAndIgnoresTouches) {
-  ReplacementState repl(ReplPolicy::kFifo, 4, /*seed=*/1);
-  for (int w = 0; w < 4; ++w) repl.fill(w, /*tick=*/10);
-  EXPECT_EQ(repl.victim(11), 0);
-  repl.touch(0, 12);  // FIFO: hits never refresh the insertion stamp
-  EXPECT_EQ(repl.victim(13), 0);
-  repl.fill(0, 14);  // ...but a refill does
-  EXPECT_EQ(repl.victim(15), 1);
+  SetAssoc set = one_set(ReplPolicy::kFifo, 4);
+  for (int w = 0; w < 4; ++w) set.fill(w, /*key=*/100 + w, /*tick=*/10);
+  EXPECT_EQ(set.victim(0), 0u);
+  set.touch(0, 12);  // FIFO: hits never refresh the insertion stamp
+  EXPECT_EQ(set.victim(0), 0u);
+  set.fill(0, 100, 14);  // ...but a refill does
+  EXPECT_EQ(set.victim(0), 1u);
 }
 
 TEST(Replacement, OwnerRecordedOnFillNotOnTouch) {
-  ReplacementState repl(ReplPolicy::kLru, 2, /*seed=*/1);
-  repl.fill(0, 1, /*owner=*/3);
-  EXPECT_EQ(repl.owner_of(0), 3);
-  repl.touch(0, 2, /*owner=*/1);  // a remote hit does not transfer ownership
-  EXPECT_EQ(repl.owner_of(0), 3);
-  repl.fill(0, 3, /*owner=*/1);
-  EXPECT_EQ(repl.owner_of(0), 1);
+  SetAssoc set = one_set(ReplPolicy::kLru, 2);
+  set.fill(0, /*key=*/100, 1, /*owner=*/3);
+  EXPECT_EQ(set.owner(0), 3);
+  set.touch(0, 2);  // a hit takes no owner: it cannot transfer ownership
+  EXPECT_EQ(set.owner(0), 3);
+  set.fill(0, 100, 3, /*owner=*/1);
+  EXPECT_EQ(set.owner(0), 1);
+  // The same through a cache: a hit by another core leaves the owner.
+  Cache c(small_cache());
+  c.fill(5, /*owner=*/3);
+  EXPECT_TRUE(c.access(5));
+  EXPECT_EQ(c.owner_of(5), 3);
+  c.fill(5, /*owner=*/1);
+  EXPECT_EQ(c.owner_of(5), 1);
 }
 
 TEST(Replacement, VictimChoiceIsOwnerBlind) {
   // The owner input is attribution only: the policy must pick the same
   // victim no matter which core asks, or cores=1 bit-identity would break
   // the moment a second core shares the level.
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
-  repl.fill(0, 10, /*owner=*/0);
-  repl.fill(1, 11, /*owner=*/1);
-  repl.fill(2, 12, /*owner=*/0);
-  repl.fill(3, 13, /*owner=*/1);
-  EXPECT_EQ(repl.victim(14, /*owner=*/0), repl.victim(14, /*owner=*/1));
-  EXPECT_EQ(repl.victim(14, /*owner=*/1), 0);  // oldest fill, owner ignored
+  SetAssoc set = one_set(ReplPolicy::kLru, 4);
+  set.fill(0, 100, 10, /*owner=*/0);
+  set.fill(1, 101, 11, /*owner=*/1);
+  set.fill(2, 102, 12, /*owner=*/0);
+  set.fill(3, 103, 13, /*owner=*/1);
+  EXPECT_EQ(set.victim(0), 0u);  // oldest fill, owner ignored
+  Cache a(small_cache());
+  Cache b(small_cache());
+  for (Addr k = 0; k < 4; ++k) {
+    a.fill(k * 16, static_cast<int>(k % 2));
+    b.fill(k * 16, static_cast<int>(k % 2));
+  }
+  const auto by_owner0 = a.fill(4 * 16, /*owner=*/0);
+  EXPECT_EQ(by_owner0, b.fill(4 * 16, /*owner=*/1));
+  EXPECT_EQ(by_owner0, std::optional<Addr>(0));
 }
 
 TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
   // SHARP tiers 1/2: never victimize another owner's way while the
   // requester owns one; the base policy (here LRU) picks among the
   // requester's own ways.
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
-  repl.fill(0, 10, /*owner=*/0);
-  repl.fill(1, 11, /*owner=*/1);
-  repl.fill(2, 12, /*owner=*/0);
-  repl.fill(3, 13, /*owner=*/1);
+  SetAssoc set = one_set(ReplPolicy::kLru, 4, 1, /*forced_draws=*/true);
+  set.fill(0, 100, 10, /*owner=*/0);
+  set.fill(1, 101, 11, /*owner=*/1);
+  set.fill(2, 102, 12, /*owner=*/0);
+  set.fill(3, 103, 13, /*owner=*/1);
   // victim() would take way 0 (globally oldest); owner 1 must not.
-  auto choice = repl.protected_victim(14, /*owner=*/1);
-  EXPECT_EQ(choice.way, 1);  // owner 1's oldest
+  auto choice = set.protected_victim(0, /*owner=*/1);
+  EXPECT_EQ(choice.slot, 1u);  // owner 1's oldest
   EXPECT_FALSE(choice.forced);
-  choice = repl.protected_victim(14, /*owner=*/0);
-  EXPECT_EQ(choice.way, 0);
+  choice = set.protected_victim(0, /*owner=*/0);
+  EXPECT_EQ(choice.slot, 0u);
   EXPECT_FALSE(choice.forced);
 }
 
 TEST(Replacement, ProtectedVictimForcedWhenSetFullyForeignOwned) {
   // SHARP tier 3: with zero requester-owned ways the choice falls back
   // to random-among-all and is flagged forced (the alarm trigger).
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
-  for (int w = 0; w < 4; ++w) repl.fill(w, 10 + w, /*owner=*/0);
-  const auto choice = repl.protected_victim(20, /*owner=*/1);
+  SetAssoc set = one_set(ReplPolicy::kLru, 4, 1, /*forced_draws=*/true);
+  for (int w = 0; w < 4; ++w) set.fill(w, 100 + w, 10 + w, /*owner=*/0);
+  const auto choice = set.protected_victim(0, /*owner=*/1);
   EXPECT_TRUE(choice.forced);
-  EXPECT_GE(choice.way, 0);
-  EXPECT_LT(choice.way, 4);
+  EXPECT_LT(choice.slot, 4u);
 }
 
 TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
@@ -247,19 +298,121 @@ TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
   // to SHARP would change single-core cycle counts.
   for (ReplPolicy policy :
        {ReplPolicy::kLru, ReplPolicy::kFifo, ReplPolicy::kRandom}) {
-    ReplacementState a(policy, 4, /*seed=*/7);
-    ReplacementState b(policy, 4, /*seed=*/7);
+    SetAssoc a = one_set(policy, 4, /*seed=*/7, /*forced_draws=*/true);
+    SetAssoc b = one_set(policy, 4, /*seed=*/7);
     for (int w = 0; w < 4; ++w) {
-      a.fill(w, 10 + w);
-      b.fill(w, 10 + w);
+      a.fill(w, 100 + w, 10 + w);
+      b.fill(w, 100 + w, 10 + w);
     }
     a.touch(1, 20);
     b.touch(1, 20);
-    for (std::uint64_t t = 21; t < 29; ++t) {
-      const auto choice = a.protected_victim(t, /*owner=*/0);
+    for (int i = 0; i < 8; ++i) {
+      const auto choice = a.protected_victim(0, /*owner=*/0);
       EXPECT_FALSE(choice.forced);
-      EXPECT_EQ(choice.way, b.victim(t, /*owner=*/0));
+      EXPECT_EQ(choice.slot, b.victim(0));
     }
+  }
+}
+
+TEST(Replacement, NonPowerOfTwoSetsIndexByModuloAndEvictLruWithinSet) {
+  // 3 sets x 2 ways: the modulo path, not the mask.
+  Cache c({.name = "t3", .size_bytes = 3 * 2 * 64, .ways = 2,
+           .line_bytes = 64});
+  for (Addr line = 0; line < 30; ++line) {
+    EXPECT_EQ(c.set_of(line), static_cast<int>(line % 3)) << line;
+  }
+  for (Addr line = 0; line < 6; ++line) EXPECT_FALSE(c.fill(line));
+  EXPECT_TRUE(c.access(0));  // set 0 holds {0, 3}; 3 becomes LRU
+  EXPECT_EQ(c.fill(6), std::optional<Addr>(3));
+  for (Addr line : {0, 1, 2, 4, 5, 6}) EXPECT_TRUE(c.probe(line)) << line;
+  EXPECT_FALSE(c.probe(3));
+}
+
+TEST(Replacement, ShippedGeometriesIndexSetsByLineModSets) {
+  // Every preset's caches and TLBs: the mask path must agree with
+  // line % sets, including for lines far beyond any set count.
+  std::set<int> cache_sets, tlb_sets;
+  std::vector<Addr> lines = {0, 1, 63, 64, 255, 256, 1023, 1024, 2047,
+                             2048, 4097, (Addr{1} << 52) - 1,
+                             (Addr{1} << 58) - 1};
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) lines.push_back(rng.below(Addr{1} << 58));
+  for (const std::string& name : sim::machine_preset_names()) {
+    const cpu::CoreConfig core = sim::machine_preset(name).core;
+    for (const CacheConfig& cfg :
+         {core.hierarchy.l1i, core.hierarchy.l1d, core.hierarchy.l2,
+          core.hierarchy.l3}) {
+      const Cache c(cfg);
+      cache_sets.insert(cfg.num_sets());
+      for (Addr line : lines) {
+        ASSERT_EQ(static_cast<Addr>(c.set_of(line)),
+                  line % static_cast<Addr>(cfg.num_sets()))
+            << name << " " << cfg.name << " line " << line;
+      }
+    }
+    for (const TlbConfig& cfg : {core.itlb, core.dtlb}) {
+      const SetAssoc store(cfg.num_sets(), cfg.ways, cfg.policy, cfg.seed,
+                           /*owners=*/false, /*forced_draws=*/false);
+      tlb_sets.insert(cfg.num_sets());
+      for (Addr vpage : lines) {
+        ASSERT_EQ(static_cast<Addr>(store.set_of(vpage)),
+                  vpage % static_cast<Addr>(cfg.num_sets()))
+            << name << " " << cfg.name << " vpage " << vpage;
+      }
+    }
+  }
+  // skylake: 64-byte lines; embedded: 32-byte lines.
+  EXPECT_EQ(cache_sets, (std::set<int>{64, 128, 512, 1024, 2048}));
+  EXPECT_EQ(tlb_sets, (std::set<int>{4, 16}));
+}
+
+// Fills `fills` fresh lines into full sets of `cfg` and checks each victim
+// against a reference Rng(seed + set) per set: the way drawn is the one
+// evicted. `owner_of_fill(i)` is the requester of fill i.
+void expect_reference_draws(const CacheConfig& cfg, int fills,
+                            int (*owner_of_fill)(int)) {
+  Cache c(cfg);
+  const int sets = cfg.num_sets();
+  std::vector<Rng> reference;
+  std::vector<std::vector<Addr>> ways(static_cast<std::size_t>(sets));
+  for (int s = 0; s < sets; ++s) {
+    reference.emplace_back(cfg.seed + static_cast<std::uint64_t>(s));
+  }
+  // Fill every set in way order: free ways are taken lowest first.
+  Addr next = 0;
+  for (int w = 0; w < cfg.ways; ++w) {
+    for (int s = 0; s < sets; ++s, ++next) {
+      c.fill(next, /*owner=*/0);
+      ways[next % sets].push_back(next);
+    }
+  }
+  // Fresh lines (each fill draws from its own block past `next`) in
+  // random sets.
+  Rng order(5);
+  for (int i = 0; i < fills; ++i) {
+    const Addr line = next + static_cast<Addr>(sets) * 1000 * i +
+                      order.below(static_cast<Addr>(sets) * 64);
+    const int set = static_cast<int>(line % sets);
+    const auto way = reference[set].below(cfg.ways);
+    const auto evicted = c.fill(line, owner_of_fill(i));
+    ASSERT_EQ(evicted, std::optional<Addr>(ways[set][way])) << "fill " << i;
+    ways[set][way] = line;
+  }
+}
+
+TEST(Replacement, RandomAndForcedDrawsFollowPerSetReferenceRngs) {
+  for (int sets : {3, 4}) {
+    CacheConfig random = small_cache(ReplPolicy::kRandom);
+    random.size_bytes = static_cast<std::uint64_t>(sets) * 4 * 64;
+    random.seed = 41;
+    expect_reference_draws(random, 60, [](int) { return 0; });
+    // SHARP-forced: each fill's requester owns no way anywhere, so every
+    // eviction is a forced uniform draw from the set's Rng.
+    CacheConfig forced = small_cache(ReplPolicy::kLru);
+    forced.size_bytes = random.size_bytes;
+    forced.seed = 43;
+    forced.protection = CacheProtection::kSharp;
+    expect_reference_draws(forced, 60, [](int i) { return 1 + i; });
   }
 }
 
@@ -336,6 +489,39 @@ TEST(Cache, SameOwnerEvictionsAreNotCounted) {
   Cache c(small_cache());
   for (Addr k = 0; k < 6; ++k) c.fill(k * 16, /*owner=*/2);
   EXPECT_EQ(c.cross_owner_evictions(), 0u);  // self-evictions don't count
+}
+
+// Heap allocations made while `make()` builds one level (its destruction
+// is not counted).
+template <typename Make>
+std::size_t allocations_of(Make make) {
+  g_allocations = 0;
+  g_counting = true;
+  const auto level = make();
+  g_counting = false;
+  return g_allocations;
+}
+
+TEST(SetAssocTest, BuildingALevelAllocatesAFixedFewBlocks) {
+  // Per-level arrays, not per-set containers: 16 sets or 2048 sets cost
+  // the same handful of allocations.
+  for (const auto& [policy, protection] :
+       {std::pair{ReplPolicy::kLru, CacheProtection::kNone},
+        std::pair{ReplPolicy::kRandom, CacheProtection::kNone},
+        std::pair{ReplPolicy::kLru, CacheProtection::kSharp}}) {
+    CacheConfig small = small_cache(policy);
+    small.protection = protection;
+    CacheConfig big = small;
+    big.size_bytes *= 128;
+    const std::size_t n = allocations_of([&] { return Cache(small); });
+    EXPECT_EQ(allocations_of([&] { return Cache(big); }), n);
+    EXPECT_LE(n, 4u);
+  }
+  const TlbConfig small{.entries = 16, .ways = 4};
+  const TlbConfig big{.entries = 4096, .ways = 4};
+  const std::size_t n = allocations_of([&] { return Tlb(small); });
+  EXPECT_EQ(allocations_of([&] { return Tlb(big); }), n);
+  EXPECT_LE(n, 4u);
 }
 
 // ---- CacheHierarchy ---------------------------------------------------------
