@@ -48,24 +48,14 @@ int main(int argc, char** argv) {
   // ---- 2: predictor flavour -------------------------------------------------
   // One variant per (predictor kind, policy) pair: baseline and WFC must
   // share the predictor flavour for the normalization to be meaningful.
-  const struct {
-    const char* name;
-    predictor::DirectionKind kind;
-  } kinds[] = {
-      {"bimodal", predictor::DirectionKind::kBimodal},
-      {"gshare", predictor::DirectionKind::kGshare},
-      {"perceptron", predictor::DirectionKind::kPerceptron},
-  };
+  const char* const kinds[] = {"bimodal", "gshare", "perceptron"};
   experiment::ExperimentSpec predictor_spec;
   predictor_spec.base_machine(machine);
   predictor_spec.profile_names(reps).instrs(opts.instrs);
-  for (const auto& k : kinds) {
-    const auto kind = k.kind;
-    const auto set_kind = [kind](cpu::CoreConfig& c) {
-      c.predictor.direction.kind = kind;
-    };
-    predictor_spec.policy("baseline", set_kind);
-    predictor_spec.policy("WFC", set_kind);
+  for (const char* kind : kinds) {
+    const std::string set_kind = std::string("predictor.direction=") + kind;
+    predictor_spec.policy("baseline", {set_kind});
+    predictor_spec.policy("WFC", {set_kind});
   }
   const auto predictor_sweep = runner.run(predictor_spec);
 

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
        &sim::SimResult::shadow_dtlb_p9999},
   };
 
-  const auto& profiles = spec.profile_axis();
+  const auto& profiles = spec.workload_axis();
   std::vector<experiment::ResultTable> tables;
   for (const auto& fig : figures) {
     experiment::ResultTable table(fig.title, {"WFC", "WFB"});
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (std::size_t p = 0; p < profiles.size(); ++p) {
       const double wfc = static_cast<double>(sweep.at(p, 0).*(fig.field));
       const double wfb = static_cast<double>(sweep.at(p, 1).*(fig.field));
-      table.add_row(profiles[p].name, {wfc, wfb}, "%12.0f");
+      table.add_row(profiles[p], {wfc, wfb}, "%12.0f");
       table.annotate_last_row(sweep.stop_note(p));
       wfc_values.push_back(wfc);
       wfb_values.push_back(wfb);

@@ -23,13 +23,13 @@ int main(int argc, char** argv) {
       "Fig 11: IPC relative to non-secure OoO execution (WFC / baseline)",
       {"base IPC", "WFC IPC", "normalized"});
   std::vector<double> normalized;
-  const auto& profiles = spec.profile_axis();
+  const auto& profiles = spec.workload_axis();
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const auto& base = sweep.at(p, 0);
     const auto& wfc = sweep.at(p, 1);
     const double norm = base.ipc == 0 ? 0 : wfc.ipc / base.ipc;
     normalized.push_back(norm);
-    table.add_row(profiles[p].name, {base.ipc, wfc.ipc, norm});
+    table.add_row(profiles[p], {base.ipc, wfc.ipc, norm});
     table.annotate_last_row(sweep.stop_note(p));
   }
   table.add_partial_row("GeoMean", {std::nullopt, std::nullopt,

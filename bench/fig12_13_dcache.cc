@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
       .policy("WFC")
       .instrs(opts.instrs);
   const auto sweep = experiment::ParallelRunner(opts.threads).run(spec);
-  const auto& profiles = spec.profile_axis();
+  const auto& profiles = spec.workload_axis();
 
   experiment::ResultTable fig12(
       "Fig 12: d-cache read miss rate (including shadow d-cache)",
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const double wfc = sweep.at(p, 1).dcache_miss_rate_incl_shadow();
     const double base = sweep.at(p, 0).dcache_miss_rate_incl_shadow();
-    fig12.add_row(profiles[p].name, {wfc, base});
+    fig12.add_row(profiles[p], {wfc, base});
     fig12.annotate_last_row(sweep.stop_note(p));
     wfc_rates.push_back(wfc);
     base_rates.push_back(base);
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::vector<double> pcts;
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const double pct = 100.0 * sweep.at(p, 1).shadow_dcache_hit_fraction();
-    fig13.add_row(profiles[p].name, {pct}, "%12.2f");
+    fig13.add_row(profiles[p], {pct}, "%12.2f");
     fig13.annotate_last_row(sweep.stop_note(p));
     pcts.push_back(pct);
   }

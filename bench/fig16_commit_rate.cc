@@ -19,14 +19,14 @@ int main(int argc, char** argv) {
       .policy("WFC")
       .instrs(opts.instrs);
   const auto sweep = experiment::ParallelRunner(opts.threads).run(spec);
-  const auto& profiles = spec.profile_axis();
+  const auto& profiles = spec.workload_axis();
 
   experiment::ResultTable table("Fig 16: commit rate of shadow state (WFC)",
                                 {"i-cache", "d-cache"});
   std::vector<double> i_rates, d_rates;
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const auto& wfc = sweep.at(p, 0);
-    table.add_row(profiles[p].name, {wfc.shadow_icache_commit_rate,
+    table.add_row(profiles[p], {wfc.shadow_icache_commit_rate,
                                      wfc.shadow_dcache_commit_rate});
     table.annotate_last_row(sweep.stop_note(p));
     i_rates.push_back(wfc.shadow_icache_commit_rate);

@@ -11,8 +11,6 @@
 #include "memory/tlb.h"
 #include "predictor/branch_predictor.h"
 #include "safespec/shadow_structures.h"
-#include "sim/machine.h"
-#include "workloads/runner.h"
 
 namespace {
 
@@ -100,11 +98,12 @@ BENCHMARK(BM_PredictorPerceptron);
 /// Whole-core simulation rate (committed instructions per host second),
 /// reported as items/s.
 void BM_CoreSimulationRate(benchmark::State& state) {
-  const auto profile = workloads::profile_by_name("x264");
-  auto config = sim::machine_preset("skylake").core;
-  config.policy = state.range(0) != 0 ? "WFC" : "baseline";
+  experiment::Cell cell;
+  cell.workload = "x264";
+  cell.policy = state.range(0) != 0 ? "WFC" : "baseline";
+  cell.instrs = 10'000;
   for (auto _ : state) {
-    const auto result = workloads::run_workload(profile, config, 10'000);
+    const auto result = experiment::run_cell(cell).result;
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(
                                 result.committed_instrs));

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   }
   spec.instrs(instrs);
   std::printf("running %s under %s for ~%llu instructions...\n",
-              spec.profile_axis()[0].name.c_str(), policy_name.c_str(),
+              spec.workload_axis()[0].c_str(), policy_name.c_str(),
               static_cast<unsigned long long>(instrs));
   const auto sweep = experiment::ParallelRunner(opts.threads).run(spec);
   const auto& r = sweep.at(0, 0);
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   if (!opts.csv_path.empty() || !opts.json_path.empty()) {
     experiment::ResultTable table(
         "workload_explorer", {"ipc", "dcache_miss_rate", "icache_miss_rate"});
-    table.add_row(spec.profile_axis()[0].name,
+    table.add_row(spec.workload_axis()[0],
                   {r.ipc, r.dcache_miss_rate_incl_shadow(),
                    r.icache_miss_rate_incl_shadow()});
     experiment::write_files({&table}, opts);

@@ -10,13 +10,13 @@
 #include "common/hash.h"
 #include "common/json.h"
 #include "cpu/core.h"
+#include "experiment/cell.h"
 #include "experiment/experiment.h"
 #include "experiment/row_sink.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
 #include "safespec/policy.h"
 #include "sim/machine.h"
-#include "workloads/workload.h"
 
 namespace safespec::campaign {
 
@@ -62,6 +62,22 @@ cpu::MutationHooks mutation_hooks(const std::string& mutate) {
     hooks.skip_squash_release = true;
   }
   return hooks;
+}
+
+/// Grid unit -> its cell, workload-major (see GridAxis). The grid has no
+/// cores axis, so the cell keeps the machine's own core count: a cores=N
+/// override applies, like every other override.
+experiment::Cell grid_cell(const GridAxis& grid, std::uint64_t unit) {
+  const std::uint64_t npresets = grid.presets.size();
+  const std::uint64_t npolicies = grid.policies.size();
+  experiment::Cell cell;
+  cell.workload = grid.workloads[unit / (npresets * npolicies)];
+  cell.policy = grid.policies[(unit / npresets) % npolicies];
+  cell.preset = grid.presets[unit % npresets];
+  cell.overrides = grid.overrides;
+  cell.cores = 0;
+  cell.instrs = grid.instrs;
+  return cell;
 }
 
 /// One journal file, scanned read-only: header checked against the
@@ -294,12 +310,8 @@ void Manifest::validate() const {
     if (grid.instrs < 1 || grid.instrs > 1'000'000'000) {
       throw std::invalid_argument("grid.instrs must be in [1, 1000000000]");
     }
-    for (const std::string& w : grid.workloads) workloads::profile_by_name(w);
-    for (const std::string& p : grid.policies) policy::named_policy(p);
-    for (const std::string& p : grid.presets) {
-      sim::MachineSpec machine = sim::machine_preset(p);
-      for (const std::string& kv : grid.overrides) machine.set(kv);
-      machine.validate();
+    for (std::uint64_t unit = 0; unit < num_units(); ++unit) {
+      experiment::resolve(grid_cell(grid, unit)).machine.validate();
     }
   } else {
     throw std::invalid_argument("kind must be \"fuzz\" or \"grid\", not \"" +
@@ -420,40 +432,16 @@ std::uint64_t run_fuzz_units(const Manifest& m,
 void run_grid_units(const Manifest& m,
                     const std::vector<std::uint64_t>& pending,
                     ShardJournal& journal, int threads) {
-  // Resolve axes once; cells share nothing at run time.
-  std::vector<workloads::WorkloadProfile> profiles;
-  for (const std::string& w : m.grid.workloads) {
-    profiles.push_back(workloads::profile_by_name(w));
-  }
-  std::vector<sim::MachineSpec> machines;
-  for (const std::string& p : m.grid.presets) {
-    sim::MachineSpec machine = sim::machine_preset(p);
-    for (const std::string& kv : m.grid.overrides) machine.set(kv);
-    machines.push_back(std::move(machine));
-  }
-  const std::uint64_t npolicies = m.grid.policies.size();
-  const std::uint64_t npresets = m.grid.presets.size();
-
   experiment::ParallelRunner(threads).parallel_for(
       pending.size(), [&](std::size_t i) {
         const std::uint64_t unit = pending[i];
-        const std::uint64_t r = unit % npresets;
-        const std::uint64_t p = (unit / npresets) % npolicies;
-        const std::uint64_t w = unit / (npresets * npolicies);
-        experiment::Cell cell;
-        cell.profile = profiles[w];
-        const sim::MachineSpec& machine = machines[r];
-        if (!machine.trace.empty()) cell.profile.trace_file = machine.trace;
-        cell.config = machine.core;
-        cell.config.policy = m.grid.policies[p];
-        cell.instrs = m.grid.instrs;
-        cell.sampling = machine.sampling;
-        const sim::SimResult result = experiment::run_cell(cell);
+        const experiment::Cell cell = grid_cell(m.grid, unit);
+        const sim::SimResult result = experiment::run_cell(cell).result;
         journal.append(unit, experiment::JsonlObject()
                                  .u64("unit", unit)
-                                 .text("workload", m.grid.workloads[w])
-                                 .text("policy", m.grid.policies[p])
-                                 .text("preset", m.grid.presets[r])
+                                 .text("workload", cell.workload)
+                                 .text("policy", cell.policy)
+                                 .text("preset", cell.preset)
                                  .text("stop", cpu::to_string(result.stop))
                                  .u64("cycles", result.cycles)
                                  .u64("committed", result.committed_instrs)

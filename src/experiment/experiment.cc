@@ -9,47 +9,19 @@
 #include <mutex>
 #include <thread>
 
-#include "workloads/runner.h"
-
 namespace safespec::experiment {
 
 // ---- spec -------------------------------------------------------------------
 
-ConfigVariant named_variant(
-    const sim::MachineSpec& base, const std::string& policy_name,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  policy::named_policy(policy_name);  // throws with the registered list
-  ConfigVariant v{policy_name, base.core};
-  v.config.policy = policy_name;
-  if (mutate) mutate(v.config);
-  return v;
-}
-
-ConfigVariant policy_variant(
-    shadow::CommitPolicy policy,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  return named_variant(sim::machine_preset("skylake"),
-                       shadow::to_string(policy), mutate);
-}
-
-ExperimentSpec& ExperimentSpec::profiles(
-    std::vector<workloads::WorkloadProfile> p) {
-  profiles_ = std::move(p);
+ExperimentSpec& ExperimentSpec::all_spec_profiles() {
+  workloads_ = workloads::spec2017_profile_names();
   return *this;
 }
 
-ExperimentSpec& ExperimentSpec::all_spec_profiles() {
-  return profiles(workloads::spec2017_profiles());
-}
-
-ExperimentSpec& ExperimentSpec::profile_names(
-    const std::vector<std::string>& names) {
-  std::vector<workloads::WorkloadProfile> selected;
-  selected.reserve(names.size());
-  for (const auto& name : names) {
-    selected.push_back(workloads::profile_by_name(name));
-  }
-  return profiles(std::move(selected));
+ExperimentSpec& ExperimentSpec::profile_names(std::vector<std::string> names) {
+  for (const std::string& name : names) workloads::profile_by_name(name);
+  workloads_ = std::move(names);
+  return *this;
 }
 
 ExperimentSpec& ExperimentSpec::base_machine(sim::MachineSpec machine) {
@@ -57,21 +29,19 @@ ExperimentSpec& ExperimentSpec::base_machine(sim::MachineSpec machine) {
   return *this;
 }
 
-ExperimentSpec& ExperimentSpec::variant(ConfigVariant v) {
-  variants_.push_back(std::move(v));
+ExperimentSpec& ExperimentSpec::policy(const std::string& name,
+                                       std::vector<std::string> overrides) {
+  // Fail here, not in a pool thread: the policy name and every override
+  // must apply to a machine.
+  sim::MachineSpec probe = base_;
+  for (const std::string& kv : overrides) probe.set(kv);
+  probe.set("policy", name);
+  Cell variant;
+  variant.policy = name;
+  variant.overrides = std::move(overrides);
+  variant.cores = 0;  // the base machine's own count
+  variants_.push_back(std::move(variant));
   return *this;
-}
-
-ExperimentSpec& ExperimentSpec::policy(
-    const std::string& name,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  return variant(named_variant(base_, name, mutate));
-}
-
-ExperimentSpec& ExperimentSpec::policy(
-    shadow::CommitPolicy p,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  return policy(std::string(shadow::to_string(p)), mutate);
 }
 
 ExperimentSpec& ExperimentSpec::instrs(std::uint64_t n) {
@@ -81,21 +51,12 @@ ExperimentSpec& ExperimentSpec::instrs(std::uint64_t n) {
 
 std::vector<Cell> ExperimentSpec::expand() const {
   std::vector<Cell> cells;
-  cells.reserve(profiles_.size() * variants_.size());
-  for (std::size_t p = 0; p < profiles_.size(); ++p) {
-    for (std::size_t v = 0; v < variants_.size(); ++v) {
-      Cell cell;
-      cell.index = cells.size();
-      cell.profile_index = p;
-      cell.variant_index = v;
-      cell.profile = profiles_[p];
-      cell.config = variants_[v].config;
+  cells.reserve(workloads_.size() * variants_.size());
+  for (const std::string& workload : workloads_) {
+    for (Cell cell : variants_) {
+      cell.workload = workload;
+      cell.preset = base_.preset;
       cell.instrs = instrs_;
-      cell.sampling = base_.sampling;
-      // The machine's trace axis rides on every cell's profile (profile
-      // names stay the row labels; "@" round-trips each cell's own
-      // synthetic image through the trace codec).
-      if (!base_.trace.empty()) cell.profile.trace_file = base_.trace;
       cells.push_back(std::move(cell));
     }
   }
@@ -103,11 +64,6 @@ std::vector<Cell> ExperimentSpec::expand() const {
 }
 
 // ---- runner -----------------------------------------------------------------
-
-sim::SimResult run_cell(const Cell& cell) {
-  return workloads::run_workload(cell.profile, cell.config, cell.instrs,
-                                 cell.sampling);
-}
 
 ParallelRunner::ParallelRunner(int threads) : threads_(threads) {
   if (threads_ <= 0) {
@@ -148,20 +104,16 @@ void ParallelRunner::parallel_for(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<sim::SimResult> ParallelRunner::run_cells(
-    const std::vector<Cell>& cells) const {
-  std::vector<sim::SimResult> results(cells.size());
-  parallel_for(cells.size(),
-               [&](std::size_t i) { results[i] = run_cell(cells[i]); });
-  return results;
-}
-
 SweepResult ParallelRunner::run(const ExperimentSpec& spec) const {
+  const std::vector<Cell> cells = spec.expand();
+  std::vector<sim::SimResult> results(cells.size());
+  parallel_for(cells.size(), [&](std::size_t i) {
+    results[i] = run_cell(cells[i], spec.machine()).result;
+  });
   std::vector<std::string> variant_names;
-  variant_names.reserve(spec.variant_axis().size());
-  for (const auto& v : spec.variant_axis()) variant_names.push_back(v.name);
-  return SweepResult(spec.profile_axis().size(), spec.variant_axis().size(),
-                     run_cells(spec.expand()), std::move(variant_names));
+  for (const Cell& v : spec.variant_axis()) variant_names.push_back(v.policy);
+  return SweepResult(spec.workload_axis().size(), spec.variant_axis().size(),
+                     std::move(results), std::move(variant_names));
 }
 
 std::string SweepResult::stop_note(std::size_t profile) const {

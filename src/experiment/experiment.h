@@ -1,10 +1,11 @@
 // Declarative experiment engine: every figure/table bench is a sweep of
-// workload profiles across named core-configuration variants. The bench
+// workload profiles across named configuration variants. The bench
 // declares the grid (ExperimentSpec), the engine expands it into
-// independent cells, runs them on a thread pool (ParallelRunner — one
-// Simulator per cell, nothing shared, results in stable cell order so
-// output is bitwise identical regardless of thread count), and the bench
-// renders rows through ResultTable (aligned text, CSV, JSON).
+// independent cells (experiment/cell.h), runs them on a thread pool
+// (ParallelRunner — one Simulator per cell, nothing shared, results in
+// stable cell order so output is bitwise identical regardless of thread
+// count), and the bench renders rows through ResultTable (aligned text,
+// CSV, JSON).
 #pragma once
 
 #include <cstdint>
@@ -15,105 +16,56 @@
 #include <vector>
 
 #include "common/cli.h"
-#include "cpu/core.h"
+#include "experiment/cell.h"
 #include "experiment/row_sink.h"
-#include "safespec/shadow_structures.h"
 #include "sim/machine.h"
-#include "sim/sim_config.h"
 #include "sim/simulator.h"
-#include "workloads/workload.h"
 
 namespace safespec::experiment {
 
-/// Committed-instruction budget per cell (formerly bench_util.h). Large
-/// enough that the occupancy/miss-rate distributions stabilise, small
-/// enough that the whole 22-benchmark sweep stays interactive.
-inline constexpr std::uint64_t kInstrsPerRun = 60'000;
-
 // ---- spec -------------------------------------------------------------------
 
-/// One point on the configuration axis: a display name plus the fully
-/// built CoreConfig it stands for.
-struct ConfigVariant {
-  std::string name;
-  cpu::CoreConfig config;
-};
-
-/// `base` with the named protection policy selected, under the policy
-/// name as display name; `mutate` applies any further CoreConfig edits.
-/// Throws std::out_of_range (listing the registered policies) on an
-/// unknown name.
-ConfigVariant named_variant(
-    const sim::MachineSpec& base, const std::string& policy_name,
-    const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
-
-/// Legacy shorthand: the "skylake" preset under the enum's canonical
-/// short name ("baseline" / "WFB" / "WFC").
-ConfigVariant policy_variant(
-    shadow::CommitPolicy policy,
-    const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
-
-/// A fully-resolved grid cell: one workload under one variant. Each
-/// cell is deterministic in isolation — workload generation seeds from
-/// `profile.seed` — so results are independent of which thread runs
-/// which cell.
-struct Cell {
-  std::size_t index = 0;        ///< position in expansion order
-  std::size_t profile_index = 0;
-  std::size_t variant_index = 0;
-  workloads::WorkloadProfile profile;
-  cpu::CoreConfig config;
-  std::uint64_t instrs = kInstrsPerRun;
-  /// Sampled-simulation schedule, copied from the spec's base machine
-  /// (disabled by default — cells then run fully detailed, bit-identical
-  /// to the pre-sampling engine).
-  sim::SamplingSpec sampling;
-};
-
-/// Declarative sweep grid: profiles x variants. Expansion is
-/// profile-major (all variants of one benchmark adjacent), the row order
-/// every figure prints.
+/// Declarative sweep grid: workloads x variants, every cell on one base
+/// machine. Expansion is workload-major (all variants of one benchmark
+/// adjacent), the row order every figure prints.
 class ExperimentSpec {
  public:
-  ExperimentSpec& profiles(std::vector<workloads::WorkloadProfile> p);
   /// All 22 SPEC2017-like profiles in paper order.
   ExperimentSpec& all_spec_profiles();
-  /// Subset by name (throws std::out_of_range on an unknown name).
-  ExperimentSpec& profile_names(const std::vector<std::string>& names);
+  /// Workloads by profile_by_name spelling (throws std::out_of_range on
+  /// an unknown name).
+  ExperimentSpec& profile_names(std::vector<std::string> names);
 
-  /// Base machine every subsequent policy() variant derives from
-  /// (default: the "skylake" preset). Benches pass resolve_machine(opts)
-  /// here so --config / --set reshape the whole sweep.
+  /// The machine every cell runs on (default: the "skylake" preset).
+  /// Benches pass resolve_machine(opts) here so --config / --set reshape
+  /// the whole sweep, its core count and sampling schedule included.
   ExperimentSpec& base_machine(sim::MachineSpec machine);
   const sim::MachineSpec& machine() const { return base_; }
 
-  ExperimentSpec& variant(ConfigVariant v);
-  /// Shorthand for variant(named_variant(machine(), name, mutate)):
-  /// one point on the configuration axis, selected by registry name.
-  ExperimentSpec& policy(
-      const std::string& name,
-      const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
-  /// Legacy enum shorthand (same variant names as the string form).
-  ExperimentSpec& policy(
-      shadow::CommitPolicy p,
-      const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
+  /// One point on the configuration axis: the named protection policy,
+  /// plus MachineSpec::set overrides applied on top of the base machine
+  /// (e.g. {"predictor.direction=gshare"}). The policy name is the
+  /// variant's display name. Throws std::out_of_range on an unknown
+  /// policy and std::invalid_argument on a malformed override.
+  ExperimentSpec& policy(const std::string& name,
+                         std::vector<std::string> overrides = {});
 
   ExperimentSpec& instrs(std::uint64_t n);
 
-  const std::vector<workloads::WorkloadProfile>& profile_axis() const {
-    return profiles_;
-  }
-  const std::vector<ConfigVariant>& variant_axis() const { return variants_; }
-  std::uint64_t instrs_per_cell() const { return instrs_; }
+  const std::vector<std::string>& workload_axis() const { return workloads_; }
+  /// One partial cell per variant: its policy and overrides, on the base
+  /// machine's own core count (cores 0).
+  const std::vector<Cell>& variant_axis() const { return variants_; }
 
-  /// Expands the grid into cells in stable order: profile-major, variant
-  /// within profile, `index` dense from 0.
+  /// Expands the grid into cells in stable order: workload-major, variant
+  /// within workload. Cells name the base machine's preset; run them with
+  /// run_cell(cell, machine()).
   std::vector<Cell> expand() const;
 
  private:
   sim::MachineSpec base_ = sim::machine_preset("skylake");
-  std::vector<workloads::WorkloadProfile> profiles_;
-  std::vector<ConfigVariant> variants_;
+  std::vector<std::string> workloads_;
+  std::vector<Cell> variants_;
   std::uint64_t instrs_ = kInstrsPerRun;
 };
 
@@ -165,9 +117,6 @@ class ParallelRunner {
   /// Runs every cell of the spec; results in expansion order.
   SweepResult run(const ExperimentSpec& spec) const;
 
-  /// Runs explicit cells (spec-free callers); results in input order.
-  std::vector<sim::SimResult> run_cells(const std::vector<Cell>& cells) const;
-
   /// Generic stable-order parallel map: invokes fn(i) for i in [0, n)
   /// across the pool. Used by benches whose work items are not simulator
   /// cells (attack suites, model sweeps).
@@ -177,9 +126,6 @@ class ParallelRunner {
  private:
   int threads_;
 };
-
-/// Runs one cell synchronously (the unit of work a pool thread executes).
-sim::SimResult run_cell(const Cell& cell);
 
 // ---- result table -----------------------------------------------------------
 

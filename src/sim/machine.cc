@@ -10,7 +10,6 @@
 #include "common/json.h"
 #include "common/registry.h"
 #include "safespec/policy.h"
-#include "sim/sim_config.h"
 
 namespace safespec::sim {
 
@@ -85,8 +84,7 @@ void read_shadow(const Json& parent, const char* key,
 
 // ---- preset registry -------------------------------------------------------
 
-/// Tables I and II: the 6-wide SkyLake-like core the paper evaluates
-/// (formerly the body of skylake_config(), which now wraps this preset).
+/// Tables I and II: the 6-wide SkyLake-like core the paper evaluates.
 MachineSpec skylake_preset() {
   MachineSpec spec;
   spec.preset = "skylake";

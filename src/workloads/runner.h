@@ -1,5 +1,5 @@
-// Convenience wrapper running a workload profile on a configured core —
-// the shared driver for every performance figure (Figs 6-9, 11-16).
+// Builds the simulator a workload profile runs on; experiment::run_cell
+// (experiment/cell.h) runs it for every figure, campaign and perf cell.
 #pragma once
 
 #include <memory>
@@ -24,20 +24,5 @@ std::unique_ptr<sim::Simulator> make_workload_sim(
 /// file rather than the generator.
 std::unique_ptr<sim::Simulator> make_image_sim(WorkloadImage image,
                                                const cpu::CoreConfig& config);
-
-/// Generates, maps, runs, and snapshots one profile under one config.
-/// `warmup_instrs` committed instructions run before statistics matter;
-/// the run then continues for `measure_instrs` more (statistics are
-/// cumulative — the warm-up mainly primes caches/predictors so short
-/// simulations are not dominated by cold-start effects).
-///
-/// When `sampling` is enabled the run alternates functional fast-forward
-/// with detailed windows (sim::Simulator::run_sampled); the default
-/// (disabled) spec takes the plain detailed path, bit-identical to the
-/// three-argument overload.
-sim::SimResult run_workload(const WorkloadProfile& profile,
-                            const cpu::CoreConfig& config,
-                            std::uint64_t measure_instrs,
-                            const sim::SamplingSpec& sampling = {});
 
 }  // namespace safespec::workloads

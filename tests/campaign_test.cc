@@ -193,6 +193,44 @@ TEST(Campaign, GridShardSplitMergesByteIdentical) {
   EXPECT_NE(bytes.find("\"workload\":\"mcf\""), std::string::npos);
 }
 
+TEST(Campaign, BenchSmokeGridMergesToPinnedBytes) {
+  // CI's bench-smoke grid manifest: its fingerprint and its merged
+  // artifact are pinned byte for byte, so a change to how grid units
+  // resolve or run their cells shows up here.
+  const Manifest m = Manifest::from_json(R"({
+    "campaign": "smoke",
+    "version": 1,
+    "kind": "grid",
+    "shards": 1,
+    "grid": {
+      "workloads": ["mcf", "exchange2"],
+      "policies": ["baseline", "WFC"],
+      "presets": ["skylake"],
+      "instrs": 20000
+    }
+  })");
+  EXPECT_EQ(m.fingerprint(), "b2b116fe6a5c5727");
+
+  const std::string dir = scratch_dir("bench_smoke");
+  RunOptions options;
+  options.threads = 2;
+  run_shard(m, dir, 0, options);
+  merge(m, dir, dir + "/merged.jsonl");
+  EXPECT_EQ(read_file(dir + "/merged.jsonl"),
+            "{\"unit\":0,\"workload\":\"mcf\",\"policy\":\"baseline\","
+            "\"preset\":\"skylake\",\"stop\":\"max-instrs\",\"cycles\":205679,"
+            "\"committed\":20004,\"ipc\":0.097258349175171024}\n"
+            "{\"unit\":1,\"workload\":\"mcf\",\"policy\":\"WFC\","
+            "\"preset\":\"skylake\",\"stop\":\"max-instrs\",\"cycles\":206138,"
+            "\"committed\":20004,\"ipc\":0.09704178754038556}\n"
+            "{\"unit\":2,\"workload\":\"exchange2\",\"policy\":\"baseline\","
+            "\"preset\":\"skylake\",\"stop\":\"max-instrs\",\"cycles\":23189,"
+            "\"committed\":20003,\"ipc\":0.86260727068868859}\n"
+            "{\"unit\":3,\"workload\":\"exchange2\",\"policy\":\"WFC\","
+            "\"preset\":\"skylake\",\"stop\":\"max-instrs\",\"cycles\":23563,"
+            "\"committed\":20003,\"ipc\":0.84891567287696812}\n");
+}
+
 TEST(Campaign, TornTailIsTruncatedAndRerun) {
   const Manifest m = fuzz_manifest("torn", 4, 1);
   const std::string dir = scratch_dir("torn");

@@ -8,7 +8,7 @@
 
 #include "isa/program.h"
 #include "safespec/policy.h"
-#include "sim/sim_config.h"
+#include "sim/machine.h"
 #include "sim/simulator.h"
 
 namespace safespec {
@@ -17,10 +17,11 @@ namespace {
 using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
-using shadow::CommitPolicy;
 
-sim::Simulator make_sim(isa::Program program, CommitPolicy policy) {
-  sim::Simulator s(sim::skylake_config(policy), std::move(program));
+sim::Simulator make_sim(isa::Program program, const std::string& policy) {
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.policy = policy;
+  sim::Simulator s(config, std::move(program));
   s.map_text();
   return s;
 }
@@ -34,7 +35,7 @@ TEST(TlbIsolation, SpeculativeTranslationStaysOutOfPrimaryDtlbUnderWFC) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   EXPECT_FALSE(s.core().dtlb().probe(page_of(kData)));
   s.run();
@@ -48,7 +49,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
   // that asymmetry IS the dTLB covert channel of Table IV).
   constexpr Addr kWrongPage = 0x710000;
   constexpr Addr kSlow = 0x720000;
-  for (auto policy : {CommitPolicy::kBaseline, CommitPolicy::kWFC}) {
+  for (const std::string policy : {"baseline", "WFC"}) {
     ProgramBuilder b(0x1000);
     b.movi(1, kWrongPage).movi(2, kSlow);
     b.flush(2, 0).fence();
@@ -65,7 +66,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
     s.map_region(kSlow, kPageSize);
     s.run();
     const bool present = s.core().dtlb().probe(page_of(kWrongPage));
-    if (policy == CommitPolicy::kBaseline) {
+    if (policy == "baseline") {
       EXPECT_TRUE(present) << "baseline should leak the dTLB entry";
     } else {
       EXPECT_FALSE(present) << "WFC must annul the speculative translation";
@@ -76,7 +77,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
 TEST(CacheIsolation, WrongPathLineLeaksOnBaselineOnlyDCache) {
   constexpr Addr kWrongLine = 0x730000;
   constexpr Addr kSlow = 0x740000;
-  for (auto policy : {CommitPolicy::kBaseline, CommitPolicy::kWFC}) {
+  for (const std::string policy : {"baseline", "WFC"}) {
     ProgramBuilder b(0x1000);
     b.movi(1, kWrongLine).movi(2, kSlow);
     b.flush(2, 0).fence();
@@ -94,7 +95,7 @@ TEST(CacheIsolation, WrongPathLineLeaksOnBaselineOnlyDCache) {
         s.core().hierarchy().resident_l1(line_of(kWrongLine),
                                          memory::Side::kData) ||
         s.core().hierarchy().resident_l3(line_of(kWrongLine));
-    EXPECT_EQ(resident, policy == CommitPolicy::kBaseline);
+    EXPECT_EQ(resident, policy == "baseline");
   }
 }
 
@@ -108,7 +109,7 @@ TEST(StoreQueue, YoungestMatchingStoreForwards) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_EQ(s.core().reg(4), 22u);
@@ -124,7 +125,7 @@ TEST(StoreQueue, DifferentWordsDoNotForward) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_EQ(s.core().reg(4), 0u);
@@ -143,7 +144,7 @@ TEST(ControlFlow, NestedCallsReturnInOrder) {
   b.label("inner").movi(12, 41).ret();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   const auto r = s.run();
   EXPECT_EQ(r.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(10), 1u);
@@ -161,7 +162,7 @@ TEST(ControlFlow, RepeatedCallsFromManySitesUseRsbCorrectly) {
   b.label("fn").alui(AluOp::kAdd, 5, 5, 1).ret();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   const auto r = s.run(2'000'000);
   EXPECT_EQ(r.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(5), 24u);
@@ -184,7 +185,7 @@ TEST(Policies, WfbPromotesAfterBranchResolutionBeforeCommit) {
   b.fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFB);
+  auto s = make_sim(std::move(prog), "WFB");
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
   // Step manually and look for the probe line becoming resident while
@@ -229,7 +230,7 @@ TEST(Policies, WfbStillPromotesAtResolutionAfterFaultRecovery) {
   auto prog = b.build();
   prog.set_entry(0x1000);
   prog.set_fault_handler(0x8000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFB);
+  auto s = make_sim(std::move(prog), "WFB");
   s.map_region(kKernel, kPageSize, memory::PagePerm::kKernel);
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
@@ -265,7 +266,7 @@ TEST(Policies, WfcDoesNotPromoteThatEarly) {
   b.fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
   bool promoted_while_blocked = false;
@@ -291,7 +292,7 @@ TEST(Flush, CommittedClflushEvictsEveryLevel) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_FALSE(s.core().hierarchy().resident_l1(line_of(kData),
@@ -304,7 +305,7 @@ TEST(Flush, CommittedClflushEvictsEveryLevel) {
 /// `program` under `policy_name`, its text mapped.
 std::unique_ptr<sim::Simulator> make_policy_sim(
     const isa::Program& program, const std::string& policy_name,
-    cpu::CoreConfig config = sim::skylake_config()) {
+    cpu::CoreConfig config = sim::machine_preset("skylake").core) {
   config.policy = policy_name;
   auto s = std::make_unique<sim::Simulator>(config, program);
   s->map_text();
@@ -325,7 +326,7 @@ std::unique_ptr<sim::Simulator> make_policy_sim(
 std::unique_ptr<sim::Simulator> run_with_commit_xor(
     const isa::Program& program, const std::string& policy_name,
     std::uint64_t commit_xor) {
-  cpu::CoreConfig config = sim::skylake_config();
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
   config.mutation.commit_xor = commit_xor;
   return make_policy_sim(program, policy_name, config);
 }
@@ -524,9 +525,10 @@ TEST(StoreQueue, SquashedWrongPathStoresNeitherForwardNorBlock) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
+  const cpu::CoreConfig table1 = sim::machine_preset("skylake").core;
   for (const auto& policy : policy::registered_policy_names()) {
-    for (const int stq_entries : {sim::skylake_config().stq_entries, 2}) {
-      cpu::CoreConfig config = sim::skylake_config();
+    for (const int stq_entries : {table1.stq_entries, 2}) {
+      cpu::CoreConfig config = table1;
       config.stq_entries = stq_entries;
       auto s = make_policy_sim(prog, policy, config);
       s->map_region(kData, kPageSize);
@@ -564,7 +566,7 @@ TEST(StoreQueue, FullStoreQueueStallsDispatchAndDrainsInOrder) {
   // fill in program order; returns the run's cycle count.
   const auto run_checking_order = [&](const std::string& policy,
                                       int stq_entries) {
-    cpu::CoreConfig config = sim::skylake_config();
+    cpu::CoreConfig config = sim::machine_preset("skylake").core;
     config.stq_entries = stq_entries;
     auto s = make_policy_sim(prog, policy, config);
     s->map_region(kData, kPageSize);
@@ -594,8 +596,8 @@ TEST(StoreQueue, FullStoreQueueStallsDispatchAndDrainsInOrder) {
   };
   for (const auto& policy : policy::registered_policy_names()) {
     const Cycle full_stq = run_checking_order(policy, 2);
-    const Cycle table1 =
-        run_checking_order(policy, sim::skylake_config().stq_entries);
+    const Cycle table1 = run_checking_order(
+        policy, sim::machine_preset("skylake").core.stq_entries);
     EXPECT_GT(full_stq, table1) << policy << ": dispatch stalled";
   }
 }
@@ -610,7 +612,7 @@ TEST(Restart, PreservesMicroarchitecturalState) {
   auto prog = b.build();
   prog.set_entry(0x1000);
   const Addr phase2 = b.label_addr("phase2");
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   ASSERT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),

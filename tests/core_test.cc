@@ -3,8 +3,11 @@
 // shadow lifecycle as observed end-to-end through the simulator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "isa/program.h"
-#include "sim/sim_config.h"
+#include "sim/machine.h"
 #include "sim/simulator.h"
 
 namespace safespec {
@@ -13,11 +16,12 @@ namespace {
 using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
-using shadow::CommitPolicy;
 
 sim::Simulator make_sim(isa::Program program,
-                        CommitPolicy policy = CommitPolicy::kBaseline) {
-  sim::Simulator s(sim::skylake_config(policy), std::move(program));
+                        const std::string& policy = "baseline") {
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.policy = policy;
+  sim::Simulator s(config, std::move(program));
   s.map_text();
   return s;
 }
@@ -300,7 +304,12 @@ TEST(CoreFault, KernelModeMayReadKernelPages) {
 
 // ---- SafeSpec end-to-end behaviour ---------------------------------------
 
-class PolicyTest : public ::testing::TestWithParam<CommitPolicy> {};
+/// The paper's three policies. The parameter is a one-byte index into
+/// kPaperPolicies, since gtest prints its bytes into the test names.
+enum class PaperPolicy : std::uint8_t { kBaseline, kWFB, kWFC };
+constexpr const char* kPaperPolicies[] = {"baseline", "WFB", "WFC"};
+
+class PolicyTest : public ::testing::TestWithParam<PaperPolicy> {};
 
 TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
   // Functional results must not depend on the protection mode: SafeSpec
@@ -319,7 +328,8 @@ TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
   p.halt();
   auto prog = p.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), GetParam());
+  auto s = make_sim(std::move(prog),
+                    kPaperPolicies[static_cast<int>(GetParam())]);
   s.map_region(kData, 2 * kPageSize);
   std::uint64_t expected = 0;
   for (int i = 0; i < 64; ++i) {
@@ -332,11 +342,12 @@ TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
-                         ::testing::Values(CommitPolicy::kBaseline,
-                                           CommitPolicy::kWFB,
-                                           CommitPolicy::kWFC),
+                         ::testing::Values(PaperPolicy::kBaseline,
+                                           PaperPolicy::kWFB,
+                                           PaperPolicy::kWFC),
                          [](const auto& info) {
-                           return shadow::to_string(info.param);
+                           return std::string(
+                               kPaperPolicies[static_cast<int>(info.param)]);
                          });
 
 TEST(SafeSpecLifecycle, CommittedLoadPromotesLineToCaches) {
@@ -345,7 +356,7 @@ TEST(SafeSpecLifecycle, CommittedLoadPromotesLineToCaches) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   // After commit the line must be architecturally resident.
@@ -374,7 +385,7 @@ TEST(SafeSpecLifecycle, SquashedSpeculativeLoadLeavesNoTrace) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.map_region(kWrongPath, kPageSize);
   s.run();
@@ -392,7 +403,7 @@ TEST(SafeSpecLifecycle, BaselineFillsCachesSpeculatively) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kBaseline);
+  auto s = make_sim(std::move(prog), "baseline");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),

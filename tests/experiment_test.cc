@@ -1,10 +1,11 @@
-// Tests for the experiment engine: declarative grid expansion, the
-// parallel runner's determinism guarantee (bitwise-identical results
-// regardless of thread count), the stats merge helpers the sweeps
-// aggregate with, and the ResultTable sinks.
+// Tests for the experiment engine: the cell grammar and resolver,
+// declarative grid expansion, the parallel runner's determinism guarantee
+// (bitwise-identical results regardless of thread count), the stats
+// merge helpers the sweeps aggregate with, and the ResultTable sinks.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -40,39 +41,169 @@ void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b,
   EXPECT_EQ(a.faults, b.faults) << what;
 }
 
+// ---- cell -------------------------------------------------------------------
+
+TEST(Cell, ParseRoundTripsTheDefaultPerfDriverGrid) {
+  // The golden listing's first column is the key of every default
+  // perf_driver cell, printed by Cell::key().
+  std::ifstream golden(SAFESPEC_GOLDEN_DIR "/perf_driver_cells.txt");
+  ASSERT_TRUE(golden.good());
+  std::size_t cells = 0;
+  for (std::string key; golden >> key; ++cells) {
+    const Cell cell = Cell::parse(key);
+    EXPECT_EQ(cell.key(), key);
+    const Cell again = Cell::parse(cell.key());
+    EXPECT_EQ(again.workload, cell.workload) << key;
+    EXPECT_EQ(again.policy, cell.policy) << key;
+    EXPECT_EQ(again.preset, cell.preset) << key;
+    EXPECT_EQ(again.mode, cell.mode) << key;
+    EXPECT_EQ(again.cores, cell.cores) << key;
+    golden.ignore(1 << 10, '\n');  // the rest of the line is results
+  }
+  EXPECT_EQ(cells, 20u);
+}
+
+TEST(Cell, ParseReadsModeAndCoresInEitherOrder) {
+  const Cell cell = Cell::parse("trace:@mcf/WFC/embedded/cores=3/detailed");
+  EXPECT_EQ(cell.workload, "trace:@mcf");
+  EXPECT_EQ(cell.policy, "WFC");
+  EXPECT_EQ(cell.preset, "embedded");
+  EXPECT_EQ(cell.mode, "detailed");
+  EXPECT_EQ(cell.cores, 3);
+  EXPECT_EQ(Cell::parse("mcf/WFC/skylake/functional").mode, "functional");
+}
+
+TEST(Cell, ParseRejectsCoresOutsideTheRangeBeforeNarrowing) {
+  // 2^32 + 2 used to narrow to a 2-core cell.
+  EXPECT_THROW(Cell::parse("mcf/baseline/skylake/cores=4294967298"),
+               std::invalid_argument);
+  for (const char* bad : {"cores=0", "cores=65", "cores=x", "cores="}) {
+    EXPECT_THROW(Cell::parse(std::string("mcf/baseline/skylake/") + bad),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(Cell::parse("mcf/baseline/skylake/cores=64").cores, 64);
+}
+
+TEST(Cell, ParseRejectsARepeatedModeOrCoreCount) {
+  // Both used to keep the last segment silently.
+  EXPECT_THROW(Cell::parse("mcf/baseline/skylake/sampled/functional"),
+               std::invalid_argument);
+  EXPECT_THROW(Cell::parse("mcf/baseline/skylake/cores=2/cores=1"),
+               std::invalid_argument);
+}
+
+TEST(Cell, ParseRejectsMalformedItems) {
+  for (const char* bad :
+       {"", "mcf", "mcf/baseline", "mcf//skylake", "/baseline/skylake",
+        "mcf/baseline/skylake/bogus", "mcf/baseline/skylake/detailed/cores=2/x",
+        "mcf/baseline/skylake/"}) {
+    EXPECT_THROW(Cell::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Cell, ResolveAppliesOverridesThenPolicyAndCores) {
+  Cell cell;
+  cell.workload = "lbm";
+  cell.policy = "WFC";
+  cell.cores = 2;
+  cell.overrides = {"policy=WFB", "cores=4", "rob_entries=128", "trace=@"};
+  const ResolvedCell r = resolve(cell);
+  EXPECT_EQ(r.machine.core.policy, "WFC");
+  EXPECT_EQ(r.machine.core.cores, 2);
+  EXPECT_EQ(r.machine.core.rob_entries, 128);
+  EXPECT_EQ(r.profile.name, "lbm");
+  EXPECT_EQ(r.profile.trace_file, "@");
+
+  cell.cores = 0;  // the machine's own count: the override's
+  EXPECT_EQ(resolve(cell).machine.core.cores, 4);
+}
+
+TEST(Cell, ResolveSetsTheModeSchedule) {
+  Cell cell;
+  cell.workload = "mcf";
+  cell.instrs = 20'000;
+  cell.overrides = {"sampling.fast_forward_interval=300"};
+  EXPECT_EQ(resolve(cell).machine.sampling.fast_forward_interval, 300u);
+  cell.mode = "sampled-fast";
+  const sim::SamplingSpec fast = resolve(cell).machine.sampling;
+  EXPECT_EQ(fast.fast_forward_interval, 10'000u);
+  EXPECT_EQ(fast.warmup_instrs, 1'000u);
+  EXPECT_EQ(fast.detail_instrs, 5'000u);
+}
+
+TEST(Cell, ResolveRejectsBadCells) {
+  Cell cell;
+  cell.workload = "mcf";
+  cell.mode = "functional";
+  cell.cores = 2;
+  EXPECT_THROW(resolve(cell), std::invalid_argument);
+  cell.cores = 1;
+  cell.mode = "bogus";
+  EXPECT_THROW(resolve(cell), std::invalid_argument);
+  cell.mode = "detailed";
+  cell.overrides = {"no_such_key=1"};
+  EXPECT_THROW(resolve(cell), std::invalid_argument);
+  cell.overrides.clear();
+  cell.policy = "not-a-policy";
+  EXPECT_THROW(resolve(cell), std::out_of_range);
+  cell.policy = "baseline";
+  cell.workload = "notabenchmark";
+  EXPECT_THROW(resolve(cell), std::out_of_range);
+}
+
+TEST(Cell, RunCellReportsTheRunPhaseAndFunctionalCommits) {
+  Cell cell;
+  cell.workload = "exchange2";
+  cell.instrs = 3'000;
+  const CellRun detailed = run_cell(cell);
+  EXPECT_EQ(detailed.result.stop, cpu::StopReason::kMaxInstrs);
+  EXPECT_GT(detailed.result.cycles, 0u);
+  EXPECT_GE(detailed.run_ms, 0.0);
+
+  cell.mode = "functional";
+  const CellRun functional = run_cell(cell);
+  EXPECT_EQ(functional.result.stop, cpu::StopReason::kMaxInstrs);
+  EXPECT_EQ(functional.result.cycles, 0u);
+  EXPECT_EQ(functional.result.committed_instrs, 3'000u);
+  EXPECT_EQ(functional.result.committed_all_cores, 3'000u);
+}
+
+// ---- spec -------------------------------------------------------------------
+
 TEST(ExperimentSpec, ExpandsProfileMajor) {
   ExperimentSpec spec;
   spec.profile_names({"perlbench", "mcf", "lbm"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC)
+      .policy("baseline")
+      .policy("WFC")
       .instrs(1234);
 
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 6u);
   ASSERT_EQ(spec.variant_axis().size(), 2u);
-  EXPECT_EQ(spec.variant_axis()[0].name, "baseline");
-  EXPECT_EQ(spec.variant_axis()[1].name, "WFC");
+  EXPECT_EQ(spec.variant_axis()[0].policy, "baseline");
+  EXPECT_EQ(spec.variant_axis()[1].policy, "WFC");
 
   const char* expected_profiles[] = {"perlbench", "perlbench", "mcf",
                                      "mcf",       "lbm",       "lbm"};
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].index, i);
-    EXPECT_EQ(cells[i].profile.name, expected_profiles[i]);
-    EXPECT_EQ(cells[i].profile_index, i / 2);
-    EXPECT_EQ(cells[i].variant_index, i % 2);
+    EXPECT_EQ(cells[i].workload, expected_profiles[i]);
+    EXPECT_EQ(cells[i].policy, i % 2 == 0 ? "baseline" : "WFC");
+    EXPECT_EQ(cells[i].preset, "skylake");
+    EXPECT_EQ(cells[i].cores, 0);  // the base machine's own count
     EXPECT_EQ(cells[i].instrs, 1234u);
   }
 }
 
 TEST(ExperimentSpec, VariantMutationApplies) {
   ExperimentSpec spec;
-  spec.profile_names({"x264"})
-      .policy(shadow::CommitPolicy::kWFC,
-              [](cpu::CoreConfig& c) { c.shadow_dcache.entries = 8; });
+  spec.profile_names({"x264"}).policy("WFC", {"shadow_dcache.entries=8"});
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].config.policy, "WFC");
-  EXPECT_EQ(cells[0].config.shadow_dcache.entries, 8);
+  const sim::MachineSpec machine = resolve(cells[0], spec.machine()).machine;
+  EXPECT_EQ(machine.core.policy, "WFC");
+  EXPECT_EQ(machine.core.shadow_dcache.entries, 8);
+  EXPECT_THROW(spec.policy("WFC", {"no_such_key=1"}), std::invalid_argument);
 }
 
 TEST(ExperimentSpec, UnknownProfileThrows) {
@@ -83,8 +214,8 @@ TEST(ExperimentSpec, UnknownProfileThrows) {
 TEST(ParallelRunner, DeterministicAcrossThreadCounts) {
   ExperimentSpec spec;
   spec.profile_names({"exchange2", "x264", "deepsjeng"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC)
+      .policy("baseline")
+      .policy("WFC")
       .instrs(4000);
 
   const auto serial = ParallelRunner(1).run(spec);
@@ -166,31 +297,16 @@ TEST(ResultTable, CsvRoundTripsRawValues) {
   EXPECT_NE(text.find("summary,,3.25"), std::string::npos);
 }
 
-TEST(ExperimentSpec, NamedPolicyAxisMatchesEnumAxis) {
-  // The string axis must build exactly the machines the legacy enum axis
-  // built (variant names included) — that is what keeps the bench
-  // outputs byte-identical across the API migration.
-  ExperimentSpec by_name, by_enum;
-  by_name.profile_names({"x264"}).policy("baseline").policy("WFC");
-  by_enum.profile_names({"x264"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC);
-  ASSERT_EQ(by_name.variant_axis().size(), by_enum.variant_axis().size());
-  for (std::size_t v = 0; v < by_name.variant_axis().size(); ++v) {
-    EXPECT_EQ(by_name.variant_axis()[v].name, by_enum.variant_axis()[v].name);
-    EXPECT_EQ(by_name.variant_axis()[v].config.policy,
-              by_enum.variant_axis()[v].config.policy);
-  }
-}
-
 TEST(ExperimentSpec, BaseMachineReshapesEveryVariant) {
   ExperimentSpec spec;
   spec.base_machine(sim::machine_preset("embedded"));
   spec.profile_names({"x264"}).policy("WFB-stall");
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].config.fetch_width, 2);
-  EXPECT_EQ(cells[0].config.policy, "WFB-stall");
+  EXPECT_EQ(cells[0].preset, "embedded");
+  const sim::MachineSpec machine = resolve(cells[0], spec.machine()).machine;
+  EXPECT_EQ(machine.core.fetch_width, 2);
+  EXPECT_EQ(machine.core.policy, "WFB-stall");
 }
 
 TEST(ExperimentSpec, UnknownPolicyNameThrows) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/cell.h"
 #include "fuzz/fuzz_spec.h"
 #include "fuzz/generator.h"
 #include "isa/program.h"
@@ -287,11 +288,11 @@ TEST(SampledSimulationTest, DisabledSamplingIsBitIdenticalToDetailedRun) {
 
     const std::uint64_t instrs = 20'000;
     auto plain = workloads::make_workload_sim(profile, config, instrs);
-    const auto r1 = plain->run(instrs * 40 + 1'000'000, instrs);
+    const auto r1 = plain->run(experiment::cycle_budget(instrs), instrs);
 
     auto sampled = workloads::make_workload_sim(profile, config, instrs);
-    const auto r2 =
-        sampled->run_sampled(SamplingSpec{}, instrs * 40 + 1'000'000, instrs);
+    const auto r2 = sampled->run_sampled(
+        SamplingSpec{}, experiment::cycle_budget(instrs), instrs);
 
     EXPECT_EQ(r1.stop, r2.stop) << c.workload;
     EXPECT_EQ(r1.cycles, r2.cycles) << c.workload;
@@ -340,13 +341,13 @@ TEST(SampledSimulationTest, SampledRunProducesIpcEstimateWithInterval) {
 /// The experiment engine honors MachineSpec::sampling: a cell run under
 /// an enabled spec reports sampled accounting.
 TEST(SampledSimulationTest, RunWorkloadHonorsSamplingSpec) {
-  const auto profile = workloads::profile_by_name("lbm");
-  const cpu::CoreConfig config = sim::machine_preset("skylake").core;
-  SamplingSpec spec;
-  spec.fast_forward_interval = 5'000;
-  spec.warmup_instrs = 500;
-  spec.detail_instrs = 1'000;
-  const auto r = workloads::run_workload(profile, config, 50'000, spec);
+  experiment::Cell cell;
+  cell.workload = "lbm";
+  cell.overrides = {"sampling.fast_forward_interval=5000",
+                    "sampling.warmup_instrs=500",
+                    "sampling.detail_instrs=1000"};
+  cell.instrs = 50'000;
+  const auto r = experiment::run_cell(cell).result;
   EXPECT_TRUE(r.sampling.enabled);
   EXPECT_GE(r.sampling.windows, 1u);
   EXPECT_GE(r.committed_instrs, 50'000u);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cpu/core.h"
+#include "experiment/cell.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
 #include "safespec/policy.h"
@@ -73,7 +74,7 @@ RunFingerprint run_once(const std::string& workload,
   config.policy = policy;
   config.cores = cores;
   auto sim = workloads::make_workload_sim(profile, config, instrs);
-  const auto result = sim->run(instrs * 40 + 1'000'000, instrs);
+  const auto result = sim->run(experiment::cycle_budget(instrs), instrs);
   return fingerprint(*sim, result);
 }
 

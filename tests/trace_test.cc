@@ -37,7 +37,7 @@ RunOutcome run_image(workloads::WorkloadImage image,
                      const cpu::CoreConfig& config, std::uint64_t instrs) {
   auto sim = workloads::make_image_sim(std::move(image), config);
   RunOutcome out;
-  out.result = sim->run(instrs * 40 + 1'000'000,
+  out.result = sim->run(experiment::cycle_budget(instrs),
                         instrs == 0 ? ~0ULL : instrs);
   for (int r = 0; r < kNumArchRegs; ++r) {
     out.regs[static_cast<std::size_t>(r)] =
@@ -250,8 +250,9 @@ TEST(Dib, OnVsOffIsCycleIdentical) {
     off.dib_lines = 0;
     auto sim_on = workloads::make_workload_sim(profile, on, kInstrs);
     auto sim_off = workloads::make_workload_sim(profile, off, kInstrs);
-    const auto r_on = sim_on->run(kInstrs * 40 + 1'000'000, kInstrs);
-    const auto r_off = sim_off->run(kInstrs * 40 + 1'000'000, kInstrs);
+    const Cycle budget = experiment::cycle_budget(kInstrs);
+    const auto r_on = sim_on->run(budget, kInstrs);
+    const auto r_off = sim_off->run(budget, kInstrs);
     EXPECT_EQ(r_on.cycles, r_off.cycles);
     EXPECT_EQ(r_on.committed_instrs, r_off.committed_instrs);
     EXPECT_EQ(r_on.mispredicts, r_off.mispredicts);
@@ -274,7 +275,7 @@ TEST(Dib, MidRunInvalidationChangesNothing) {
   // seam. Identical outcomes isolate invalidation as a pure no-op.
   auto plain = workloads::make_workload_sim(profile, config, kInstrs);
   auto invalidated = workloads::make_workload_sim(profile, config, kInstrs);
-  const Cycle budget = kInstrs * 40 + 1'000'000;
+  const Cycle budget = experiment::cycle_budget(kInstrs);
   plain->run(budget, 5'000);
   invalidated->run(budget, 5'000);
   invalidated->core().invalidate_dib();
@@ -320,8 +321,9 @@ TEST(CachedEngine, SampledRunsStayDeterministicAcrossSimulators) {
   spec.detail_instrs = 1'000;
   auto a = workloads::make_workload_sim(profile, config, kInstrs);
   auto b = workloads::make_workload_sim(profile, config, kInstrs);
-  const auto ra = a->run_sampled(spec, kInstrs * 40 + 1'000'000, kInstrs);
-  const auto rb = b->run_sampled(spec, kInstrs * 40 + 1'000'000, kInstrs);
+  const Cycle budget = experiment::cycle_budget(kInstrs);
+  const auto ra = a->run_sampled(spec, budget, kInstrs);
+  const auto rb = b->run_sampled(spec, budget, kInstrs);
   EXPECT_EQ(ra.cycles, rb.cycles);
   EXPECT_EQ(ra.committed_instrs, rb.committed_instrs);
   EXPECT_EQ(ra.sampling.windows, rb.sampling.windows);
@@ -360,9 +362,11 @@ TEST(TraceSpec, ExperimentExpandAppliesTheTraceAxis) {
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 2u);
   for (const auto& cell : cells) {
-    EXPECT_EQ(cell.profile.trace_file, "@");
+    const auto resolved = experiment::resolve(cell, spec.machine());
+    EXPECT_EQ(resolved.profile.trace_file, "@");
+    EXPECT_EQ(resolved.profile.name, cell.workload);  // row labels survive
   }
-  EXPECT_EQ(cells[0].profile.name, "mcf");  // row labels survive
+  EXPECT_EQ(cells[0].workload, "mcf");
 }
 
 TEST(TraceSpec, ProfileByNameTraceSpellings) {

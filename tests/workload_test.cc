@@ -5,8 +5,7 @@
 
 #include <set>
 
-#include "sim/sim_config.h"
-#include "workloads/runner.h"
+#include "experiment/cell.h"
 #include "workloads/workload.h"
 
 namespace safespec::workloads {
@@ -128,21 +127,23 @@ TEST(TraceWorkloads, EmptyTraceSpecRejected) {
 // budget) under every policy with a plausible IPC.
 struct SweepParam {
   std::string profile;
-  shadow::CommitPolicy policy;
+  const char* policy;
 };
 
 class WorkloadSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(WorkloadSweep, RunsWithSaneStatistics) {
-  const auto profile = profile_by_name(GetParam().profile);
-  const auto r = run_workload(profile, sim::skylake_config(GetParam().policy),
-                              5'000);
+  experiment::Cell cell;
+  cell.workload = GetParam().profile;
+  cell.policy = GetParam().policy;
+  cell.instrs = 5'000;
+  const auto r = experiment::run_cell(cell).result;
   EXPECT_GE(r.committed_instrs, 5'000u);
   EXPECT_GT(r.ipc, 0.01);
   EXPECT_LT(r.ipc, 6.0);
   EXPECT_LE(r.dcache_miss_rate_incl_shadow(), 1.0);
   EXPECT_LE(r.icache_miss_rate_incl_shadow(), 1.0);
-  if (GetParam().policy != shadow::CommitPolicy::kBaseline) {
+  if (cell.policy != "baseline") {
     // Shadow occupancy percentiles must respect the structure bounds.
     EXPECT_LE(r.shadow_dcache_p9999, 72u);
     EXPECT_LE(r.shadow_icache_p9999, 224u);
@@ -152,9 +153,7 @@ TEST_P(WorkloadSweep, RunsWithSaneStatistics) {
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> out;
   for (const auto& p : spec2017_profiles()) {
-    for (auto policy : {shadow::CommitPolicy::kBaseline,
-                        shadow::CommitPolicy::kWFB,
-                        shadow::CommitPolicy::kWFC}) {
+    for (const char* policy : {"baseline", "WFB", "WFC"}) {
       out.push_back({p.name, policy});
     }
   }
@@ -164,8 +163,7 @@ std::vector<SweepParam> sweep_params() {
 INSTANTIATE_TEST_SUITE_P(
     AllProfilesAllPolicies, WorkloadSweep, ::testing::ValuesIn(sweep_params()),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return info.param.profile + "_" +
-             shadow::to_string(info.param.policy);
+      return info.param.profile + "_" + info.param.policy;
     });
 
 }  // namespace

@@ -29,9 +29,10 @@
 
 namespace {
 
-/// The cell schema, the key grammar and the loader live in
-/// campaign/perf_artifacts.h, shared with perf_driver's consumers (the
-/// campaign trend report reads the same artifacts).
+/// The cell schema and the loader live in campaign/perf_artifacts.h,
+/// shared with perf_driver's consumers (the campaign trend report reads
+/// the same artifacts); a cell's key is experiment::Cell::key(), the
+/// grammar perf_driver's --cells parses.
 using Cell = safespec::campaign::PerfCell;
 
 std::vector<Cell> load_cells(const std::string& path) {

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/cli.h"
+#include "experiment/cell.h"
 #include "fuzz/fuzz_spec.h"
 #include "fuzz/generator.h"
 #include "sim/simulator.h"
@@ -69,9 +70,9 @@ struct RunSummary {
 RunSummary run_image(workloads::WorkloadImage image, std::uint64_t instrs) {
   auto sim = workloads::make_image_sim(std::move(image), cpu::CoreConfig{});
   RunSummary out;
-  // Same budget shape as workloads::run_workload; instrs == 0 runs to
-  // halt (fuzz programs terminate on their own).
-  out.result = sim->run(instrs * 40 + 1'000'000,
+  // The cells' budget; instrs == 0 runs to halt (fuzz programs
+  // terminate on their own).
+  out.result = sim->run(experiment::cycle_budget(instrs),
                         instrs == 0 ? ~0ULL : instrs);
   for (int r = 0; r < kNumArchRegs; ++r) {
     out.regs[r] = sim->core().reg(static_cast<RegIndex>(r));
