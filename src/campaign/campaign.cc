@@ -205,15 +205,18 @@ void truncate_to(const std::string& path, std::size_t valid_bytes) {
 
 Manifest Manifest::from_json(const std::string& text) {
   const json::Value doc = json::parse(text);
-  if (doc.kind != json::Value::Kind::kObject) {
-    throw std::invalid_argument("campaign manifest must be a JSON object");
-  }
+  json::check_keys(doc, {"campaign", "version", "kind", "shards", "fuzz",
+                         "grid"},
+                   "campaign manifest");
   Manifest m;
   json::read_string(doc, "campaign", m.name);
   json::read_u64(doc, "version", m.version);
   json::read_string(doc, "kind", m.kind);
   json::read_int(doc, "shards", m.shards);
   if (const json::Value* f = doc.find("fuzz")) {
+    json::check_keys(*f, {"first_seed", "count", "spec", "policies",
+                          "presets", "cores", "mutate"},
+                     "campaign manifest \"fuzz\"");
     json::read_u64(*f, "first_seed", m.fuzz.first_seed);
     json::read_u64(*f, "count", m.fuzz.count);
     json::read_string(*f, "spec", m.fuzz.spec);
@@ -223,6 +226,9 @@ Manifest Manifest::from_json(const std::string& text) {
     json::read_string(*f, "mutate", m.fuzz.mutate);
   }
   if (const json::Value* g = doc.find("grid")) {
+    json::check_keys(*g, {"workloads", "policies", "presets", "overrides",
+                          "instrs"},
+                     "campaign manifest \"grid\"");
     read_string_list(*g, "workloads", m.grid.workloads);
     read_string_list(*g, "policies", m.grid.policies);
     read_string_list(*g, "presets", m.grid.presets);

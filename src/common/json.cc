@@ -1,7 +1,9 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -194,11 +196,33 @@ std::uint64_t parse_u64(const std::string& token, const std::string& where) {
   return value;
 }
 
-std::uint64_t as_u64(const Value& v, const std::string& where) {
+int parse_int(const std::string& token, const std::string& where) {
+  const std::uint64_t value = parse_u64(token, where);
+  if (value > static_cast<std::uint64_t>(INT_MAX)) {
+    throw std::invalid_argument("\"" + where + "\" = " + token +
+                                " does not fit in an int");
+  }
+  return static_cast<int>(value);
+}
+
+namespace {
+
+/// An integer is a number token or a (possibly hex) string.
+const std::string& integer_token(const Value& v, const std::string& where) {
   if (v.kind != Value::Kind::kNumber && v.kind != Value::Kind::kString) {
     throw std::invalid_argument("expected a number for \"" + where + "\"");
   }
-  return parse_u64(v.text, where);
+  return v.text;
+}
+
+}  // namespace
+
+std::uint64_t as_u64(const Value& v, const std::string& where) {
+  return parse_u64(integer_token(v, where), where);
+}
+
+int as_int(const Value& v, const std::string& where) {
+  return parse_int(integer_token(v, where), where);
 }
 
 double as_double(const Value& v, const std::string& where) {
@@ -219,9 +243,7 @@ void read_u64(const Value& obj, const char* key, std::uint64_t& out) {
 }
 
 void read_int(const Value& obj, const char* key, int& out) {
-  if (const Value* v = obj.find(key)) {
-    out = static_cast<int>(as_u64(*v, key));
-  }
+  if (const Value* v = obj.find(key)) out = as_int(*v, key);
 }
 
 void read_double(const Value& obj, const char* key, double& out) {
@@ -245,6 +267,22 @@ void read_string(const Value& obj, const char* key, std::string& out) {
                                   key + "\"");
     }
     out = v->text;
+  }
+}
+
+void check_keys(const Value& obj, std::initializer_list<const char*> known,
+                const std::string& what) {
+  if (obj.kind != Value::Kind::kObject) {
+    throw std::invalid_argument(what + " must be a JSON object");
+  }
+  for (const auto& [key, value] : obj.object) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string expected;
+    for (const char* k : known) {
+      expected += std::string(expected.empty() ? "" : ", ") + k;
+    }
+    throw std::invalid_argument("unknown key \"" + key + "\" in " + what +
+                                " (expected one of: " + expected + ")");
   }
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,14 +54,24 @@ Value parse_file(const std::string& path);
 // ---- typed field readers ----------------------------------------------------
 // The read_* helpers are tolerant of absent keys (the out-param keeps its
 // value), so a config document only needs the deltas it cares about;
-// present-but-mistyped values throw.
+// present-but-mistyped values throw, and so do keys check_keys does not
+// know.
 
 /// "123" or "0x7b" -> 123. Rejects signs, garbage and overflow; `where`
 /// names the field in the error message.
 std::uint64_t parse_u64(const std::string& token, const std::string& where);
+/// parse_u64 for an int field: a value above INT_MAX throws too, so
+/// 2^32 + k is an error instead of k.
+int parse_int(const std::string& token, const std::string& where);
 
 std::uint64_t as_u64(const Value& v, const std::string& where);
+int as_int(const Value& v, const std::string& where);
 double as_double(const Value& v, const std::string& where);
+
+/// Throws std::invalid_argument unless `obj` is an object whose every key
+/// is one of `known`; `what` names the object in the message.
+void check_keys(const Value& obj, std::initializer_list<const char*> known,
+                const std::string& what);
 
 void read_u64(const Value& obj, const char* key, std::uint64_t& out);
 void read_int(const Value& obj, const char* key, int& out);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "experiment/experiment.h"
 #include "fuzz/generator.h"
@@ -155,12 +156,11 @@ SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
   for (const auto& preset : presets) {
     for (const auto& policy : policies) {
       const std::string name = policy + "/" + preset;
-      sim::MachineBuilder builder =
-          sim::MachineBuilder::from_preset(preset);
-      builder.policy(policy).configure([&config](cpu::CoreConfig& c) {
-        c.mutation = config.mutation;
-        c.cores = config.cores;
-      });
+      sim::MachineSpec machine = sim::machine_preset(preset);
+      machine.core.mutation = config.mutation;
+      machine.core.cores = config.cores;
+      sim::MachineBuilder builder(std::move(machine));
+      builder.policy(policy);
       for (const auto& region : fp.regions) {
         builder.map_region(region.base, region.bytes, region.perm);
       }

@@ -81,13 +81,17 @@ std::string FuzzSpec::to_json() const {
 
 FuzzSpec FuzzSpec::from_json(const std::string& text) {
   const json::Value doc = json::parse(text);
-  if (doc.kind != json::Value::Kind::kObject) {
-    throw std::invalid_argument("fuzz spec must be a JSON object");
-  }
+  json::check_keys(doc, {"weights", "min_blocks", "max_blocks",
+                         "loop_iterations", "data_bytes", "kernel_bytes",
+                         "fault_frac", "install_fault_handler"},
+                   "fuzz spec");
   // Unlisted fields keep their defaults, so a spec file only needs the
   // deltas it cares about.
   FuzzSpec spec;
   if (const json::Value* w = doc.find("weights")) {
+    json::check_keys(*w, {"branch_heavy", "pointer_chase", "protected_window",
+                          "self_confusing", "mixed_compute", "mem_storm"},
+                     "fuzz spec \"weights\"");
     json::read_double(*w, "branch_heavy", spec.weights.branch_heavy);
     json::read_double(*w, "pointer_chase", spec.weights.pointer_chase);
     json::read_double(*w, "protected_window", spec.weights.protected_window);

@@ -1,9 +1,8 @@
 // Fast functional (architecture-only) execution engine.
 //
-// The promoted form of the fuzz harness's in-order oracle
-// (src/fuzz/oracle.h wraps this class): one instruction per step, no
-// microarchitecture, producing exactly the committed architectural state
-// the out-of-order core produces. Promotion earned it the hot-path
+// The fuzz harness's in-order oracle, promoted to a first-class engine:
+// one instruction per step, no microarchitecture, producing exactly the
+// committed architectural state the out-of-order core produces. Promotion earned it the hot-path
 // treatment the detailed core got in PRs 4-5:
 //
 //   * the program text is predecoded into a dense slot table indexed by
@@ -19,8 +18,7 @@
 // engine fast-forwards between detailed sample windows and hands the
 // architectural state across via ArchCheckpoint.
 //
-// Semantics are the oracle's, bit for bit (see oracle.h for the
-// rationale): faults bite at the faulting instruction's commit point and
+// Semantics: faults bite at the faulting instruction's commit point and
 // redirect to the program's fault handler (or end the run with
 // kFaultNoHandler); committed control flow reaching a pc with no
 // instruction ends the run; division by zero yields all-ones; the zero

@@ -1,11 +1,11 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "common/json.h"
 #include "common/registry.h"
@@ -15,21 +15,7 @@ namespace safespec::sim {
 
 namespace {
 
-// The JSON machinery (value type, parser, typed readers, writer) lives in
-// common/json.h, shared with the fuzzing subsystem's FuzzSpec documents.
 using Json = json::Value;
-using JsonWriter = json::Writer;
-using json::parse_u64;
-using json::read_bool;
-using json::read_int;
-using json::read_string;
-using json::read_u64;
-
-/// Cycle is an alias of std::uint64_t; named reader kept for the call
-/// sites that document the field as a latency.
-void read_cycle(const Json& obj, const char* key, Cycle& out) {
-  read_u64(obj, key, out);
-}
 
 shadow::FullPolicy parse_full_policy(const std::string& text) {
   if (text == "drop") return shadow::FullPolicy::kDrop;
@@ -55,31 +41,255 @@ const char* direction_kind_name(predictor::DirectionKind kind) {
   return "?";
 }
 
-void read_cache(const Json& parent, const char* key,
-                memory::CacheConfig& cache) {
-  if (const Json* v = parent.find(key)) {
-    read_u64(*v, "size_bytes", cache.size_bytes);
-    read_int(*v, "ways", cache.ways);
-    read_int(*v, "line_bytes", cache.line_bytes);
-    read_cycle(*v, "hit_latency", cache.hit_latency);
+// ---- the field table --------------------------------------------------------
+
+/// A protection-policy name, checked against the policy registry.
+struct PolicyName {
+  std::string* name;
+};
+
+/// One scalar MachineSpec field: its --set key, its dotted path in the
+/// JSON document, and where it lives in the spec.
+struct Field {
+  const char* key;
+  const char* path;
+  std::variant<int*, std::uint64_t*, bool*, std::string*, PolicyName,
+               shadow::FullPolicy*, predictor::DirectionKind*>
+      target;
+};
+
+/// Every scalar field of `spec`, in to_json order. set() accepts exactly
+/// these keys and from_json exactly these paths (plus preset, memory_map
+/// and pokes, which MachineSpec handles itself). A new knob is one row
+/// here, plus a validate() check if it needs one.
+std::vector<Field> fields(MachineSpec& spec) {
+  cpu::CoreConfig& c = spec.core;
+  memory::HierarchyConfig& h = c.hierarchy;
+  predictor::PredictorConfig& p = c.predictor;
+  SamplingSpec& s = spec.sampling;
+  return {
+      {"policy", "policy", PolicyName{&c.policy}},
+      {"allow_undersized_shadows", "allow_undersized_shadows",
+       &spec.allow_undersized_shadows},
+      {"map_text", "map_text", &spec.map_text},
+      {"trace", "trace", &spec.trace},
+      {"cores", "cores", &c.cores},
+      {"fetch_width", "core.fetch_width", &c.fetch_width},
+      {"issue_width", "core.issue_width", &c.issue_width},
+      {"commit_width", "core.commit_width", &c.commit_width},
+      {"iq_entries", "core.iq_entries", &c.iq_entries},
+      {"rob_entries", "core.rob_entries", &c.rob_entries},
+      {"ldq_entries", "core.ldq_entries", &c.ldq_entries},
+      {"stq_entries", "core.stq_entries", &c.stq_entries},
+      {"fetch_to_dispatch_delay", "core.fetch_to_dispatch_delay",
+       &c.fetch_to_dispatch_delay},
+      {"commit_delay", "core.commit_delay", &c.commit_delay},
+      {"dib_lines", "core.dib_lines", &c.dib_lines},
+      {"alu_latency", "core.alu_latency", &c.alu_latency},
+      {"mul_latency", "core.mul_latency", &c.mul_latency},
+      {"div_latency", "core.div_latency", &c.div_latency},
+      {"shadow_hit_latency", "core.shadow_hit_latency", &c.shadow_hit_latency},
+      {"sharp_alarm_threshold", "core.sharp_alarm_threshold",
+       &c.sharp_alarm_threshold},
+      {"sharp_alarm_epoch", "core.sharp_alarm_epoch", &c.sharp_alarm_epoch},
+      {"l1i.size_bytes", "caches.l1i.size_bytes", &h.l1i.size_bytes},
+      {"l1i.ways", "caches.l1i.ways", &h.l1i.ways},
+      {"l1i.line_bytes", "caches.l1i.line_bytes", &h.l1i.line_bytes},
+      {"l1i.hit_latency", "caches.l1i.hit_latency", &h.l1i.hit_latency},
+      {"l1d.size_bytes", "caches.l1d.size_bytes", &h.l1d.size_bytes},
+      {"l1d.ways", "caches.l1d.ways", &h.l1d.ways},
+      {"l1d.line_bytes", "caches.l1d.line_bytes", &h.l1d.line_bytes},
+      {"l1d.hit_latency", "caches.l1d.hit_latency", &h.l1d.hit_latency},
+      {"l2.size_bytes", "caches.l2.size_bytes", &h.l2.size_bytes},
+      {"l2.ways", "caches.l2.ways", &h.l2.ways},
+      {"l2.line_bytes", "caches.l2.line_bytes", &h.l2.line_bytes},
+      {"l2.hit_latency", "caches.l2.hit_latency", &h.l2.hit_latency},
+      {"l3.size_bytes", "caches.l3.size_bytes", &h.l3.size_bytes},
+      {"l3.ways", "caches.l3.ways", &h.l3.ways},
+      {"l3.line_bytes", "caches.l3.line_bytes", &h.l3.line_bytes},
+      {"l3.hit_latency", "caches.l3.hit_latency", &h.l3.hit_latency},
+      {"memory_latency", "caches.memory_latency", &h.memory_latency},
+      {"itlb.entries", "tlbs.itlb.entries", &c.itlb.entries},
+      {"itlb.ways", "tlbs.itlb.ways", &c.itlb.ways},
+      {"dtlb.entries", "tlbs.dtlb.entries", &c.dtlb.entries},
+      {"dtlb.ways", "tlbs.dtlb.ways", &c.dtlb.ways},
+      {"shadow_dcache.entries", "shadows.dcache.entries",
+       &c.shadow_dcache.entries},
+      {"shadow_dcache.full_policy", "shadows.dcache.full_policy",
+       &c.shadow_dcache.full_policy},
+      {"shadow_icache.entries", "shadows.icache.entries",
+       &c.shadow_icache.entries},
+      {"shadow_icache.full_policy", "shadows.icache.full_policy",
+       &c.shadow_icache.full_policy},
+      {"shadow_dtlb.entries", "shadows.dtlb.entries", &c.shadow_dtlb.entries},
+      {"shadow_dtlb.full_policy", "shadows.dtlb.full_policy",
+       &c.shadow_dtlb.full_policy},
+      {"shadow_itlb.entries", "shadows.itlb.entries", &c.shadow_itlb.entries},
+      {"shadow_itlb.full_policy", "shadows.itlb.full_policy",
+       &c.shadow_itlb.full_policy},
+      {"predictor.direction", "predictor.direction", &p.direction.kind},
+      {"predictor.table_bits", "predictor.table_bits",
+       &p.direction.table_bits},
+      {"predictor.history_bits", "predictor.history_bits",
+       &p.direction.history_bits},
+      {"predictor.perceptron_weights", "predictor.perceptron_weights",
+       &p.direction.perceptron_weights},
+      {"predictor.btb_entries", "predictor.btb_entries", &p.btb.entries},
+      {"predictor.btb_ways", "predictor.btb_ways", &p.btb.ways},
+      {"predictor.rsb_depth", "predictor.rsb_depth", &p.rsb_depth},
+      {"sampling.fast_forward_interval", "sampling.fast_forward_interval",
+       &s.fast_forward_interval},
+      {"sampling.warmup_instrs", "sampling.warmup_instrs", &s.warmup_instrs},
+      {"sampling.detail_instrs", "sampling.detail_instrs", &s.detail_instrs},
+  };
+}
+
+// Text -> field, the --set grammar; `key` names the field in errors.
+void from_text(int* out, const std::string& text, const std::string& key) {
+  *out = json::parse_int(text, key);
+}
+void from_text(std::uint64_t* out, const std::string& text,
+               const std::string& key) {
+  *out = json::parse_u64(text, key);
+}
+void from_text(bool* out, const std::string& text, const std::string& key) {
+  if (text == "true" || text == "1") {
+    *out = true;
+  } else if (text == "false" || text == "0") {
+    *out = false;
+  } else {
+    throw std::invalid_argument("expected true/false for \"" + key + "\"");
+  }
+}
+void from_text(std::string* out, const std::string& text,
+               const std::string&) {
+  *out = text;
+}
+void from_text(PolicyName out, const std::string& text, const std::string&) {
+  policy::named_policy(text);  // throws with the registered list
+  *out.name = text;
+}
+void from_text(shadow::FullPolicy* out, const std::string& text,
+               const std::string&) {
+  *out = parse_full_policy(text);
+}
+void from_text(predictor::DirectionKind* out, const std::string& text,
+               const std::string&) {
+  *out = parse_direction_kind(text);
+}
+
+void set_field(const Field& field, const std::string& text,
+               const std::string& where) {
+  std::visit([&](auto target) { from_text(target, text, where); },
+             field.target);
+}
+
+/// A JSON leaf: integers are numbers or (hex) strings, booleans are
+/// true/false, every other field is a string.
+void set_field(const Field& field, const Json& value) {
+  const bool integer = std::holds_alternative<int*>(field.target) ||
+                       std::holds_alternative<std::uint64_t*>(field.target);
+  if (std::holds_alternative<bool*>(field.target)) {
+    if (value.kind != Json::Kind::kBool) {
+      throw std::invalid_argument(std::string("expected true/false for \"") +
+                                  field.path + "\"");
+    }
+    *std::get<bool*>(field.target) = value.boolean;
+    return;
+  }
+  if (value.kind != Json::Kind::kString &&
+      !(integer && value.kind == Json::Kind::kNumber)) {
+    throw std::invalid_argument(std::string("expected a ") +
+                                (integer ? "number" : "string") + " for \"" +
+                                field.path + "\"");
+  }
+  set_field(field, value.text, field.path);
+}
+
+// Field -> JSON.
+template <class T>
+void write(json::Writer& w, const char* key, T* value) {
+  w.field(key, *value);
+}
+void write(json::Writer& w, const char* key, PolicyName value) {
+  w.field(key, *value.name);
+}
+void write(json::Writer& w, const char* key, shadow::FullPolicy* value) {
+  w.field(key, shadow::to_string(*value));
+}
+void write(json::Writer& w, const char* key,
+           predictor::DirectionKind* value) {
+  w.field(key, direction_kind_name(*value));
+}
+
+/// Applies every member of `group` (the object at `prefix`) to the rows
+/// of `table`: a member is a row's leaf or an object on some row's path.
+void read_group(const Json& group, const std::string& prefix,
+                const std::vector<Field>& table) {
+  for (const auto& [key, value] : group.object) {
+    const std::string path = prefix + key;
+    if (prefix.empty() &&
+        (key == "preset" || key == "memory_map" || key == "pokes")) {
+      continue;  // MachineSpec::from_json reads these itself
+    }
+    const auto row = std::find_if(
+        table.begin(), table.end(),
+        [&](const Field& f) { return path == f.path; });
+    if (row != table.end()) {
+      set_field(*row, value);
+      continue;
+    }
+    const std::string subgroup = path + ".";
+    if (std::none_of(table.begin(), table.end(), [&](const Field& f) {
+          return std::string(f.path).rfind(subgroup, 0) == 0;
+        })) {
+      throw std::invalid_argument("unknown machine-spec key \"" + path +
+                                  "\"");
+    }
+    if (value.kind != Json::Kind::kObject) {
+      throw std::invalid_argument("machine-spec key \"" + path +
+                                  "\" must be a JSON object");
+    }
+    read_group(value, subgroup, table);
   }
 }
 
-void read_tlb(const Json& parent, const char* key, memory::TlbConfig& tlb) {
-  if (const Json* v = parent.find(key)) {
-    read_int(*v, "entries", tlb.entries);
-    read_int(*v, "ways", tlb.ways);
+/// The optional array `key` of `doc`; every entry must be an object with
+/// only the `known` keys.
+const std::vector<Json>& entries(const Json& doc, const char* key,
+                                 std::initializer_list<const char*> known) {
+  static const std::vector<Json> kNone;
+  const Json* list = doc.find(key);
+  if (list == nullptr) return kNone;
+  if (list->kind != Json::Kind::kArray) {
+    throw std::invalid_argument(std::string(key) + " must be a JSON array");
   }
+  for (const Json& entry : list->array) {
+    json::check_keys(entry, known, std::string(key) + " entry");
+  }
+  return list->array;
 }
 
-void read_shadow(const Json& parent, const char* key,
-                 shadow::ShadowConfig& config) {
-  if (const Json* v = parent.find(key)) {
-    read_int(*v, "entries", config.entries);
-    std::string full;
-    read_string(*v, "full_policy", full);
-    if (!full.empty()) config.full_policy = parse_full_policy(full);
+/// set()'s message for a key the table lacks: a cache, TLB or shadow
+/// key prefix names its group, as the grammar's users expect.
+std::string unknown_key_message(const std::string& key,
+                                const std::vector<Field>& table) {
+  const std::size_t dot = key.find('.');
+  const std::string prefix = key.substr(0, dot + 1);
+  const std::pair<const char*, const char*> groups[] = {
+      {"caches.", "cache"}, {"tlbs.", "TLB"}, {"shadows.", "shadow"}};
+  for (const Field& f : table) {
+    if (dot == std::string::npos || std::string(f.key).rfind(prefix, 0) != 0) {
+      continue;
+    }
+    for (const auto& [group, noun] : groups) {
+      if (std::string(f.path).rfind(group, 0) == 0) {
+        return std::string("unknown ") + noun + " field in \"" + key + "\"";
+      }
+    }
   }
+  return "unknown machine-spec key \"" + key +
+         "\" (see MachineSpec::set in src/sim/machine.h for the grammar)";
 }
 
 // ---- preset registry -------------------------------------------------------
@@ -302,98 +512,34 @@ void MachineSpec::validate() const {
 }
 
 std::string MachineSpec::to_json() const {
-  const cpu::CoreConfig& c = core;
-  JsonWriter w;
+  json::Writer w;
   w.open();
   w.field("preset", preset);
-  w.field("policy", c.policy);
-  w.field("allow_undersized_shadows", allow_undersized_shadows);
-  w.field("map_text", map_text);
-  w.field("trace", trace);
-  w.field("cores", c.cores);
-
-  w.open("core");
-  w.field("fetch_width", c.fetch_width);
-  w.field("issue_width", c.issue_width);
-  w.field("commit_width", c.commit_width);
-  w.field("iq_entries", c.iq_entries);
-  w.field("rob_entries", c.rob_entries);
-  w.field("ldq_entries", c.ldq_entries);
-  w.field("stq_entries", c.stq_entries);
-  w.field("fetch_to_dispatch_delay", c.fetch_to_dispatch_delay);
-  w.field("commit_delay", c.commit_delay);
-  w.field("dib_lines", c.dib_lines);
-  w.field("alu_latency", c.alu_latency);
-  w.field("mul_latency", c.mul_latency);
-  w.field("div_latency", c.div_latency);
-  w.field("shadow_hit_latency", c.shadow_hit_latency);
-  w.field("sharp_alarm_threshold", c.sharp_alarm_threshold);
-  w.field("sharp_alarm_epoch", c.sharp_alarm_epoch);
-  w.close();
-
-  w.open("caches");
-  const struct {
-    const char* key;
-    const memory::CacheConfig* cache;
-  } caches[] = {{"l1i", &c.hierarchy.l1i},
-                {"l1d", &c.hierarchy.l1d},
-                {"l2", &c.hierarchy.l2},
-                {"l3", &c.hierarchy.l3}};
-  for (const auto& entry : caches) {
-    w.open(entry.key);
-    w.field("size_bytes", entry.cache->size_bytes);
-    w.field("ways", entry.cache->ways);
-    w.field("line_bytes", entry.cache->line_bytes);
-    w.field("hit_latency", entry.cache->hit_latency);
-    w.close();
+  // Rows sharing a group sit together: each row closes the groups it
+  // leaves and opens the ones it enters. fields() hands out mutable
+  // pointers; nothing here writes through them.
+  std::vector<std::string> open;
+  for (const Field& f : fields(const_cast<MachineSpec&>(*this))) {
+    std::vector<std::string> groups;
+    std::istringstream parts(f.path);
+    for (std::string part; std::getline(parts, part, '.');) {
+      groups.push_back(part);
+    }
+    const std::string leaf = groups.back();
+    groups.pop_back();
+    while (open.size() > groups.size() ||
+           !std::equal(open.begin(), open.end(), groups.begin())) {
+      w.close();
+      open.pop_back();
+    }
+    while (open.size() < groups.size()) {
+      open.push_back(groups[open.size()]);
+      w.open(open.back().c_str());
+    }
+    std::visit([&](auto target) { write(w, leaf.c_str(), target); },
+               f.target);
   }
-  w.field("memory_latency", c.hierarchy.memory_latency);
-  w.close();
-
-  w.open("tlbs");
-  const struct {
-    const char* key;
-    const memory::TlbConfig* tlb;
-  } tlbs[] = {{"itlb", &c.itlb}, {"dtlb", &c.dtlb}};
-  for (const auto& entry : tlbs) {
-    w.open(entry.key);
-    w.field("entries", entry.tlb->entries);
-    w.field("ways", entry.tlb->ways);
-    w.close();
-  }
-  w.close();
-
-  w.open("shadows");
-  const struct {
-    const char* key;
-    const shadow::ShadowConfig* config;
-  } shadows[] = {{"dcache", &c.shadow_dcache},
-                 {"icache", &c.shadow_icache},
-                 {"dtlb", &c.shadow_dtlb},
-                 {"itlb", &c.shadow_itlb}};
-  for (const auto& entry : shadows) {
-    w.open(entry.key);
-    w.field("entries", entry.config->entries);
-    w.field("full_policy", shadow::to_string(entry.config->full_policy));
-    w.close();
-  }
-  w.close();
-
-  w.open("predictor");
-  w.field("direction", direction_kind_name(c.predictor.direction.kind));
-  w.field("table_bits", c.predictor.direction.table_bits);
-  w.field("history_bits", c.predictor.direction.history_bits);
-  w.field("perceptron_weights", c.predictor.direction.perceptron_weights);
-  w.field("btb_entries", c.predictor.btb.entries);
-  w.field("btb_ways", c.predictor.btb.ways);
-  w.field("rsb_depth", c.predictor.rsb_depth);
-  w.close();
-
-  w.open("sampling");
-  w.field("fast_forward_interval", sampling.fast_forward_interval);
-  w.field("warmup_instrs", sampling.warmup_instrs);
-  w.field("detail_instrs", sampling.detail_instrs);
-  w.close();
+  for (; !open.empty(); open.pop_back()) w.close();
 
   w.open_array("memory_map");
   for (const MemRegion& region : regions) {
@@ -427,101 +573,28 @@ MachineSpec MachineSpec::from_json(const std::string& text) {
   }
 
   // Unlisted fields keep the preset's values, so a config file only
-  // needs the deltas it cares about.
+  // needs the deltas it cares about; a key the table lacks is an error.
   std::string preset_name = "skylake";
-  read_string(doc, "preset", preset_name);
+  json::read_string(doc, "preset", preset_name);
   MachineSpec spec = machine_preset(preset_name);
-  cpu::CoreConfig& c = spec.core;
+  read_group(doc, "", fields(spec));
 
-  read_string(doc, "policy", c.policy);
-  read_bool(doc, "allow_undersized_shadows", spec.allow_undersized_shadows);
-  read_bool(doc, "map_text", spec.map_text);
-  read_string(doc, "trace", spec.trace);
-  read_int(doc, "cores", c.cores);
-
-  if (const Json* core = doc.find("core")) {
-    read_int(*core, "fetch_width", c.fetch_width);
-    read_int(*core, "issue_width", c.issue_width);
-    read_int(*core, "commit_width", c.commit_width);
-    read_int(*core, "iq_entries", c.iq_entries);
-    read_int(*core, "rob_entries", c.rob_entries);
-    read_int(*core, "ldq_entries", c.ldq_entries);
-    read_int(*core, "stq_entries", c.stq_entries);
-    read_int(*core, "fetch_to_dispatch_delay", c.fetch_to_dispatch_delay);
-    read_int(*core, "commit_delay", c.commit_delay);
-    read_int(*core, "dib_lines", c.dib_lines);
-    read_cycle(*core, "alu_latency", c.alu_latency);
-    read_cycle(*core, "mul_latency", c.mul_latency);
-    read_cycle(*core, "div_latency", c.div_latency);
-    read_cycle(*core, "shadow_hit_latency", c.shadow_hit_latency);
-    read_u64(*core, "sharp_alarm_threshold", c.sharp_alarm_threshold);
-    read_u64(*core, "sharp_alarm_epoch", c.sharp_alarm_epoch);
+  for (const Json& entry : entries(doc, "memory_map",
+                                   {"base", "bytes", "kernel"})) {
+    MemRegion region;
+    json::read_u64(entry, "base", region.base);
+    json::read_u64(entry, "bytes", region.bytes);
+    bool kernel = false;
+    json::read_bool(entry, "kernel", kernel);
+    region.perm = kernel ? memory::PagePerm::kKernel : memory::PagePerm::kUser;
+    spec.regions.push_back(region);
   }
-
-  if (const Json* caches = doc.find("caches")) {
-    read_cache(*caches, "l1i", c.hierarchy.l1i);
-    read_cache(*caches, "l1d", c.hierarchy.l1d);
-    read_cache(*caches, "l2", c.hierarchy.l2);
-    read_cache(*caches, "l3", c.hierarchy.l3);
-    read_cycle(*caches, "memory_latency", c.hierarchy.memory_latency);
+  for (const Json& entry : entries(doc, "pokes", {"addr", "value"})) {
+    Poke poke;
+    json::read_u64(entry, "addr", poke.addr);
+    json::read_u64(entry, "value", poke.value);
+    spec.pokes.push_back(poke);
   }
-
-  if (const Json* tlbs = doc.find("tlbs")) {
-    read_tlb(*tlbs, "itlb", c.itlb);
-    read_tlb(*tlbs, "dtlb", c.dtlb);
-  }
-
-  if (const Json* shadows = doc.find("shadows")) {
-    read_shadow(*shadows, "dcache", c.shadow_dcache);
-    read_shadow(*shadows, "icache", c.shadow_icache);
-    read_shadow(*shadows, "dtlb", c.shadow_dtlb);
-    read_shadow(*shadows, "itlb", c.shadow_itlb);
-  }
-
-  if (const Json* pred = doc.find("predictor")) {
-    std::string direction;
-    read_string(*pred, "direction", direction);
-    if (!direction.empty()) {
-      c.predictor.direction.kind = parse_direction_kind(direction);
-    }
-    read_int(*pred, "table_bits", c.predictor.direction.table_bits);
-    read_int(*pred, "history_bits", c.predictor.direction.history_bits);
-    read_int(*pred, "perceptron_weights",
-             c.predictor.direction.perceptron_weights);
-    read_int(*pred, "btb_entries", c.predictor.btb.entries);
-    read_int(*pred, "btb_ways", c.predictor.btb.ways);
-    read_int(*pred, "rsb_depth", c.predictor.rsb_depth);
-  }
-
-  if (const Json* sampling = doc.find("sampling")) {
-    read_u64(*sampling, "fast_forward_interval",
-             spec.sampling.fast_forward_interval);
-    read_u64(*sampling, "warmup_instrs", spec.sampling.warmup_instrs);
-    read_u64(*sampling, "detail_instrs", spec.sampling.detail_instrs);
-  }
-
-  if (const Json* map = doc.find("memory_map")) {
-    for (const Json& entry : map->array) {
-      MemRegion region;
-      read_u64(entry, "base", region.base);
-      read_u64(entry, "bytes", region.bytes);
-      bool kernel = false;
-      read_bool(entry, "kernel", kernel);
-      region.perm =
-          kernel ? memory::PagePerm::kKernel : memory::PagePerm::kUser;
-      spec.regions.push_back(region);
-    }
-  }
-
-  if (const Json* pokes = doc.find("pokes")) {
-    for (const Json& entry : pokes->array) {
-      Poke poke;
-      read_u64(entry, "addr", poke.addr);
-      read_u64(entry, "value", poke.value);
-      spec.pokes.push_back(poke);
-    }
-  }
-
   return spec;
 }
 
@@ -539,21 +612,12 @@ void MachineSpec::set(const std::string& key_equals_value) {
 }
 
 void MachineSpec::set(const std::string& key, const std::string& value) {
-  cpu::CoreConfig& c = core;
-  const auto u64 = [&] { return parse_u64(value, key); };
-  const auto to_int = [&] { return static_cast<int>(parse_u64(value, key)); };
-  const auto to_bool = [&] {
-    if (value == "true" || value == "1") return true;
-    if (value == "false" || value == "0") return false;
-    throw std::invalid_argument("expected true/false for \"" + key + "\"");
-  };
-
   if (key == "preset") {
     // Re-seed the whole micro-architecture from the named preset; the
     // machine-level choices (policy, core count) and address-space setup
     // survive. Apply before other overrides so they edit the new preset.
-    const std::string keep_policy = c.policy;
-    const int keep_cores = c.cores;
+    const std::string keep_policy = core.policy;
+    const int keep_cores = core.cores;
     const MachineSpec fresh = machine_preset(value);
     preset = fresh.preset;
     core = fresh.core;
@@ -561,182 +625,14 @@ void MachineSpec::set(const std::string& key, const std::string& value) {
     core.cores = keep_cores;
     return;
   }
-  if (key == "cores") {
-    c.cores = to_int();
-    return;
-  }
-  if (key == "policy") {
-    policy::named_policy(value);  // throws with the registered list
-    c.policy = value;
-    return;
-  }
-  if (key == "sharp_alarm_threshold") {
-    c.sharp_alarm_threshold = u64();
-    return;
-  }
-  if (key == "sharp_alarm_epoch") {
-    c.sharp_alarm_epoch = u64();
-    return;
-  }
-  if (key == "allow_undersized_shadows") {
-    allow_undersized_shadows = to_bool();
-    return;
-  }
-  if (key == "map_text") {
-    map_text = to_bool();
-    return;
-  }
-  if (key == "trace") {
-    trace = value;
-    return;
-  }
-
-  int* const int_fields[]{&c.fetch_width,
-                          &c.issue_width,
-                          &c.commit_width,
-                          &c.iq_entries,
-                          &c.rob_entries,
-                          &c.ldq_entries,
-                          &c.stq_entries,
-                          &c.fetch_to_dispatch_delay,
-                          &c.commit_delay,
-                          &c.dib_lines};
-  const char* const int_names[]{
-      "fetch_width", "issue_width",  "commit_width",
-      "iq_entries",  "rob_entries",  "ldq_entries",
-      "stq_entries", "fetch_to_dispatch_delay", "commit_delay",
-      "dib_lines"};
-  for (std::size_t i = 0; i < std::size(int_fields); ++i) {
-    if (key == int_names[i]) {
-      *int_fields[i] = to_int();
+  const std::vector<Field> table = fields(*this);
+  for (const Field& f : table) {
+    if (key == f.key) {
+      set_field(f, value, key);
       return;
     }
   }
-
-  Cycle* const cycle_fields[]{&c.alu_latency, &c.mul_latency, &c.div_latency,
-                              &c.shadow_hit_latency,
-                              &c.hierarchy.memory_latency};
-  const char* const cycle_names[]{"alu_latency", "mul_latency", "div_latency",
-                                  "shadow_hit_latency", "memory_latency"};
-  for (std::size_t i = 0; i < std::size(cycle_fields); ++i) {
-    if (key == cycle_names[i]) {
-      *cycle_fields[i] = u64();
-      return;
-    }
-  }
-
-  const struct {
-    const char* prefix;
-    memory::CacheConfig* cache;
-  } caches[] = {{"l1i.", &c.hierarchy.l1i},
-                {"l1d.", &c.hierarchy.l1d},
-                {"l2.", &c.hierarchy.l2},
-                {"l3.", &c.hierarchy.l3}};
-  for (const auto& entry : caches) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "size_bytes") {
-      entry.cache->size_bytes = u64();
-    } else if (field == "ways") {
-      entry.cache->ways = to_int();
-    } else if (field == "line_bytes") {
-      entry.cache->line_bytes = to_int();
-    } else if (field == "hit_latency") {
-      entry.cache->hit_latency = u64();
-    } else {
-      throw std::invalid_argument("unknown cache field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  const struct {
-    const char* prefix;
-    memory::TlbConfig* tlb;
-  } tlbs[] = {{"itlb.", &c.itlb}, {"dtlb.", &c.dtlb}};
-  for (const auto& entry : tlbs) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "entries") {
-      entry.tlb->entries = to_int();
-    } else if (field == "ways") {
-      entry.tlb->ways = to_int();
-    } else {
-      throw std::invalid_argument("unknown TLB field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  const struct {
-    const char* prefix;
-    shadow::ShadowConfig* config;
-  } shadows[] = {{"shadow_dcache.", &c.shadow_dcache},
-                 {"shadow_icache.", &c.shadow_icache},
-                 {"shadow_dtlb.", &c.shadow_dtlb},
-                 {"shadow_itlb.", &c.shadow_itlb}};
-  for (const auto& entry : shadows) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "entries") {
-      entry.config->entries = to_int();
-    } else if (field == "full_policy") {
-      entry.config->full_policy = parse_full_policy(value);
-    } else {
-      throw std::invalid_argument("unknown shadow field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  if (key == "sampling.fast_forward_interval") {
-    sampling.fast_forward_interval = u64();
-    return;
-  }
-  if (key == "sampling.warmup_instrs") {
-    sampling.warmup_instrs = u64();
-    return;
-  }
-  if (key == "sampling.detail_instrs") {
-    sampling.detail_instrs = u64();
-    return;
-  }
-
-  if (key == "predictor.direction") {
-    c.predictor.direction.kind = parse_direction_kind(value);
-    return;
-  }
-  if (key == "predictor.table_bits") {
-    c.predictor.direction.table_bits = to_int();
-    return;
-  }
-  if (key == "predictor.history_bits") {
-    c.predictor.direction.history_bits = to_int();
-    return;
-  }
-  if (key == "predictor.perceptron_weights") {
-    c.predictor.direction.perceptron_weights = to_int();
-    return;
-  }
-  if (key == "predictor.btb_entries") {
-    c.predictor.btb.entries = to_int();
-    return;
-  }
-  if (key == "predictor.btb_ways") {
-    c.predictor.btb.ways = to_int();
-    return;
-  }
-  if (key == "predictor.rsb_depth") {
-    c.predictor.rsb_depth = to_int();
-    return;
-  }
-
-  throw std::invalid_argument(
-      "unknown machine-spec key \"" + key +
-      "\" (see MachineSpec::set in src/sim/machine.h for the grammar)");
+  throw std::invalid_argument(unknown_key_message(key, table));
 }
 
 // ---- preset registry -------------------------------------------------------
@@ -774,33 +670,6 @@ MachineBuilder& MachineBuilder::policy(const std::string& name) {
   return *this;
 }
 
-MachineBuilder& MachineBuilder::cores(int n) {
-  spec_.core.cores = n;
-  return *this;
-}
-
-MachineBuilder& MachineBuilder::shadow_entries(int dside, int iside) {
-  spec_.core.shadow_dcache.entries = dside;
-  spec_.core.shadow_dtlb.entries = dside;
-  spec_.core.shadow_icache.entries = iside;
-  spec_.core.shadow_itlb.entries = iside;
-  return *this;
-}
-
-MachineBuilder& MachineBuilder::shadow_full_policy(
-    shadow::FullPolicy full_policy) {
-  spec_.core.shadow_dcache.full_policy = full_policy;
-  spec_.core.shadow_icache.full_policy = full_policy;
-  spec_.core.shadow_dtlb.full_policy = full_policy;
-  spec_.core.shadow_itlb.full_policy = full_policy;
-  return *this;
-}
-
-MachineBuilder& MachineBuilder::allow_undersized_shadows(bool allow) {
-  spec_.allow_undersized_shadows = allow;
-  return *this;
-}
-
 MachineBuilder& MachineBuilder::map_region(Addr base, std::uint64_t bytes,
                                            memory::PagePerm perm) {
   spec_.regions.push_back({base, bytes, perm});
@@ -817,16 +686,9 @@ MachineBuilder& MachineBuilder::set(const std::string& key_equals_value) {
   return *this;
 }
 
-MachineBuilder& MachineBuilder::configure(
-    const std::function<void(cpu::CoreConfig&)>& fn) {
-  fn(spec_.core);
-  return *this;
-}
-
 std::unique_ptr<Simulator> MachineBuilder::build(isa::Program program) const {
   spec_.validate();
   auto sim = std::make_unique<Simulator>(spec_.core, std::move(program));
-  sim->set_sampling(spec_.sampling);
   // Every core runs the same program over the same initial image: set
   // up core 0's once, then copy it to the other cores.
   if (spec_.map_text) sim->map_text_on(0);

@@ -59,9 +59,9 @@ struct MachineSpec {
   /// engine copies this onto every cell's WorkloadProfile::trace_file
   /// (see src/trace/). Set grammar: --set trace=PATH.
   std::string trace;
-  /// Sampled-simulation schedule (disabled by default). Carried onto the
-  /// built Simulator; run_sampled_auto() and the experiment engine honor
-  /// it. See sim::SamplingSpec.
+  /// Sampled-simulation schedule (disabled by default). The experiment
+  /// engine's run_cell passes it to Simulator::run_sampled. See
+  /// sim::SamplingSpec.
   SamplingSpec sampling;
   std::vector<MemRegion> regions;
   std::vector<Poke> pokes;
@@ -76,6 +76,10 @@ struct MachineSpec {
 
   /// Pretty-printed JSON document (stable key order — round-trips).
   std::string to_json() const;
+  /// Unlisted fields keep the named preset's values. Throws
+  /// std::invalid_argument on a key the layout lacks, a group that is not
+  /// an object, a mistyped leaf, or an integer its field cannot hold; an
+  /// unknown preset or policy name throws std::out_of_range.
   static MachineSpec from_json(const std::string& text);
   static MachineSpec from_json_file(const std::string& path);
 
@@ -84,9 +88,9 @@ struct MachineSpec {
   /// l2.size_bytes=524288, shadow_dcache.entries=16,
   /// shadow_dcache.full_policy=stall, predictor.direction=perceptron,
   /// preset=embedded (re-seeds the core from that preset; apply first).
-  /// Throws std::invalid_argument on unknown keys or malformed values;
-  /// unknown policy=/preset= names throw std::out_of_range listing the
-  /// registered names.
+  /// Throws std::invalid_argument on unknown keys or malformed values
+  /// (an integer its field cannot hold included); unknown policy=/preset=
+  /// names throw std::out_of_range listing the registered names.
   void set(const std::string& key_equals_value);
   void set(const std::string& key, const std::string& value);
 };
@@ -120,20 +124,12 @@ class MachineBuilder {
 
   /// Selects the protection policy by registry name.
   MachineBuilder& policy(const std::string& name);
-  /// Number of cores sharing the L2/L3 (see cpu::CoreConfig::cores).
-  MachineBuilder& cores(int n);
-  /// Sizes all four shadow structures (d-side pair, i-side pair).
-  MachineBuilder& shadow_entries(int dside, int iside);
-  /// Full-table handling for all four shadow structures.
-  MachineBuilder& shadow_full_policy(shadow::FullPolicy full_policy);
-  MachineBuilder& allow_undersized_shadows(bool allow = true);
   MachineBuilder& map_region(Addr base, std::uint64_t bytes,
                              memory::PagePerm perm = memory::PagePerm::kUser);
   MachineBuilder& poke(Addr addr, std::uint64_t value);
-  /// Applies one "key=value" override (MachineSpec::set grammar).
+  /// Applies one "key=value" override (MachineSpec::set grammar), e.g.
+  /// set("cores=4") or set("shadow_dcache.entries=8").
   MachineBuilder& set(const std::string& key_equals_value);
-  /// Escape hatch for fields without a dedicated fluent method.
-  MachineBuilder& configure(const std::function<void(cpu::CoreConfig&)>& fn);
 
   const MachineSpec& spec() const { return spec_; }
 

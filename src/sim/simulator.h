@@ -218,16 +218,6 @@ class Simulator {
                         Cycle max_cycles = 50'000'000,
                         std::uint64_t max_instrs = ~0ULL);
 
-  /// Sampled run under the simulator's own stored SamplingSpec (set at
-  /// build time from MachineSpec::sampling; disabled by default).
-  SimResult run_sampled_auto(Cycle max_cycles = 50'000'000,
-                             std::uint64_t max_instrs = ~0ULL) {
-    return run_sampled(sampling_, max_cycles, max_instrs);
-  }
-
-  const SamplingSpec& sampling() const { return sampling_; }
-  void set_sampling(const SamplingSpec& spec) { sampling_ = spec; }
-
   /// Restores a functional-engine checkpoint into the detailed machine
   /// (core 0): applies the memory delta (if any), installs the register
   /// file, and restarts the core at cp.pc. Microarchitectural warming
@@ -291,7 +281,6 @@ class Simulator {
   std::unique_ptr<memory::SharedLevels> shared_levels_;
   std::vector<std::unique_ptr<CoreContext>> ctx_;
   std::unique_ptr<FunctionalEngine> engine_;  ///< lazy; see functional_engine()
-  SamplingSpec sampling_;  ///< disabled unless set_sampling() enables it
 };
 
 }  // namespace safespec::sim

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,26 @@ TEST(Manifest, RoundTripsThroughJson) {
   EXPECT_EQ(Manifest::from_json(g.to_json()).fingerprint(), g.fingerprint());
   EXPECT_EQ(Manifest::from_json(g.to_json()).grid.workloads,
             g.grid.workloads);
+}
+
+TEST(Manifest, FromJsonRejectsUnknownKeysAndWideIntegers) {
+  // A typo must fail loudly: "polices" would otherwise sweep every
+  // policy, and the fingerprint (of the re-serialized manifest) would
+  // not show it. 2^32 + 1 shards is not 1 shard, 2^32 + 2 cores not 2.
+  for (const char* doc : {
+           R"({"campaign": "c", "kind": "fuzz",
+               "fuzz": {"count": 1, "polices": ["WFC"]}})",
+           R"({"campaign": "c", "kind": "fuzz", "shard": 2})",
+           R"({"campaign": "c", "kind": "grid",
+               "grid": {"workload": ["mcf"]}})",
+           R"({"campaign": "c", "kind": "fuzz", "fuzz": 5})",
+           R"({"campaign": "c", "kind": "fuzz", "shards": 4294967297})",
+           R"({"campaign": "c", "kind": "fuzz",
+               "fuzz": {"count": 1, "cores": 4294967298}})",
+       }) {
+    SCOPED_TRACE(doc);
+    EXPECT_THROW(Manifest::from_json(doc), std::invalid_argument);
+  }
 }
 
 TEST(Manifest, FingerprintTracksEveryField) {
@@ -385,6 +406,15 @@ TEST(PerfTrend, LoadsDirectoryAndRendersReport) {
   EXPECT_NE(json.find("\"aggregate_mips\": [1.00, 0.50]"),
             std::string::npos);
   EXPECT_NE(json.find("\"key\": \"mcf/WFC/skylake\""), std::string::npos);
+
+  // A cell's cores must fit in an int: 2^32 + 2 is not 2.
+  write_file(dir + "/wide_cores.json",
+             "{\"cells\": [{\"workload\": \"mcf\", \"policy\": \"WFC\","
+             " \"preset\": \"skylake\", \"cores\": 4294967298,"
+             " \"committed_instrs\": 1, \"cycles\": 1, \"wall_ms\": 1,"
+             " \"mips\": 1}]}\n");
+  EXPECT_THROW(load_perf_cells(dir + "/wide_cores.json"),
+               std::invalid_argument);
 }
 
 TEST(PerfTrend, CellKeyMatchesPerfCompareGrammar) {

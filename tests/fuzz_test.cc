@@ -12,11 +12,11 @@
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
 #include "fuzz/generator.h"
-#include "fuzz/oracle.h"
 #include "isa/program.h"
 #include "memory/main_memory.h"
 #include "memory/page_table.h"
 #include "safespec/policy.h"
+#include "sim/functional.h"
 #include "sim/machine.h"
 
 namespace safespec::fuzz {
@@ -25,6 +25,7 @@ namespace {
 using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
+using sim::FunctionalEngine;
 
 /// All-zero scenario weights ({} would re-apply the 1.0 defaults).
 ScenarioWeights zero_weights() {
@@ -57,18 +58,17 @@ struct OracleEnv {
     pt.map_identity(page_of(kKernel), /*kernel_only=*/true);
   }
 
-  cpu::StopReason run(const isa::Program& program, OracleInterpreter*& out,
+  cpu::StopReason run(const isa::Program& program, FunctionalEngine*& out,
                       std::uint64_t max_instrs = 100000) {
-    oracle_storage.emplace_back(
-        new OracleInterpreter(&program, &mem, &pt));
+    oracle_storage.emplace_back(new FunctionalEngine(&program, &mem, &pt));
     out = oracle_storage.back().get();
     return out->run(max_instrs);
   }
 
-  std::vector<std::unique_ptr<OracleInterpreter>> oracle_storage;
+  std::vector<std::unique_ptr<FunctionalEngine>> oracle_storage;
 };
 
-// ---- OracleInterpreter: hand-computed states per opcode class -------------
+// ---- the oracle (FunctionalEngine): hand-computed states per opcode class ---
 
 TEST(OracleTest, MoviAndAluChain) {
   ProgramBuilder b(kText);
@@ -86,7 +86,7 @@ TEST(OracleTest, MoviAndAluChain) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 15u);
   EXPECT_EQ(o->reg(3), 5u);
@@ -110,7 +110,7 @@ TEST(OracleTest, MulDivAndDivideByZero) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 42u);
   EXPECT_EQ(o->reg(3), 8u);
@@ -132,7 +132,7 @@ TEST(OracleTest, LoadStoreAndMemoryImage) {
 
   OracleEnv env;
   env.mem.write64(kData, 0x1111);
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(3), 0xABCDu);
   EXPECT_EQ(o->reg(4), 0x1111u);
@@ -159,7 +159,7 @@ TEST(OracleTest, BranchLoopSumsCorrectly) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 15u);
   EXPECT_EQ(o->committed(), 2u + 3u * 5u + 1u);
@@ -184,7 +184,7 @@ TEST(OracleTest, JumpAndIndirectBranch) {
   ASSERT_EQ(b.label_addr("landing"), kText + 7 * isa::kInstrBytes);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 0u);
   EXPECT_EQ(o->reg(3), 42u);
@@ -203,7 +203,7 @@ TEST(OracleTest, CallLinksAndRetReturns) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 111u);
   EXPECT_EQ(o->reg(isa::kLinkReg), kText + 2 * isa::kInstrBytes);
@@ -223,7 +223,7 @@ TEST(OracleTest, FlushFenceNopHaveNoArchitecturalEffect) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(3), 5u);
   EXPECT_EQ(o->committed(), 8u);
@@ -241,7 +241,7 @@ TEST(OracleTest, RdCycleReturnsCommittedCount) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 2u);
 }
@@ -262,7 +262,7 @@ TEST(OracleTest, KernelLoadFaultsIntoHandler) {
 
   OracleEnv env;
   env.mem.write64(kKernel, 0x5EC7E7);  // the secret is there...
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 7u);   // ...but never architecturally visible
   EXPECT_EQ(o->reg(3), 0u);
@@ -281,7 +281,7 @@ TEST(OracleTest, KernelStoreFaultsAndWritesNothing) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->faults(), 1u);
   EXPECT_TRUE(env.mem.nonzero_words().empty());
@@ -296,7 +296,7 @@ TEST(OracleTest, UnmappedLoadWithoutHandlerStops) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->committed(), 1u);  // only the movi
   EXPECT_EQ(o->reg(2), 0u);
@@ -310,7 +310,7 @@ TEST(OracleTest, RunningOffTextStops) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->committed(), 2u);
 }
@@ -324,7 +324,7 @@ TEST(OracleTest, InstructionBudgetIsResumable) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o, /*max_instrs=*/10), cpu::StopReason::kMaxInstrs);
   EXPECT_EQ(o->committed(), 10u);
   EXPECT_EQ(o->run(10), cpu::StopReason::kMaxInstrs);
@@ -360,7 +360,7 @@ TEST(GeneratorTest, GeneratedProgramsHaltWithinHint) {
     memory::MainMemory mem;
     memory::PageTable pt;
     apply_address_space(fp, mem, pt);
-    OracleInterpreter oracle(&fp.program, &mem, &pt);
+    FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted)
         << "seed " << seed;
   }
@@ -386,7 +386,7 @@ TEST(GeneratorTest, FaultingScenariosActuallyFault) {
     memory::MainMemory mem;
     memory::PageTable pt;
     apply_address_space(fp, mem, pt);
-    OracleInterpreter oracle(&fp.program, &mem, &pt);
+    FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted);
     total_faults += oracle.faults();
   }
@@ -423,6 +423,13 @@ TEST(FuzzSpecTest, RejectsNonsense) {
   EXPECT_THROW(
       FuzzSpec::from_json("{\"weights\": {\"branch_heavy\": -1}}"),
       std::invalid_argument);
+  // Unknown keys and non-object groups, and 2^32 + 8, which is not 8.
+  for (const char* doc : {R"({"min_block": 3})",
+                          R"({"weights": {"branch": 2.0}})",
+                          R"({"weights": 3})",
+                          R"({"max_blocks": 4294967304})"}) {
+    EXPECT_THROW(FuzzSpec::from_json(doc), std::invalid_argument) << doc;
+  }
   FuzzSpec all_zero;
   all_zero.weights = zero_weights();
   EXPECT_THROW(all_zero.validate(), std::invalid_argument);

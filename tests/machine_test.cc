@@ -3,10 +3,13 @@
 // with a message listing what *is* registered).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "isa/program.h"
 #include "safespec/policy.h"
 #include "sim/machine.h"
@@ -322,6 +325,194 @@ TEST(MachineSpecSet, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(spec.set("shadow_dcache.full_policy=explode"),
                std::invalid_argument);
   EXPECT_THROW(spec.set("policy=no-such-policy"), std::out_of_range);
+  // An int field rejects what only fits after narrowing: 2^32 + 2 is not
+  // 2 cores.
+  EXPECT_THROW(spec.set("cores=4294967298"), std::invalid_argument);
+  EXPECT_THROW(spec.set("l2.ways=2147483648"), std::invalid_argument);
+  EXPECT_THROW(spec.set("itlb.entries=0x100000040"), std::invalid_argument);
+  EXPECT_EQ(spec.core.cores, 1);
+  spec.set("rob_entries=2147483647");
+  EXPECT_EQ(spec.core.rob_entries, 2147483647);
+}
+
+std::string set_error(const std::string& key_equals_value) {
+  MachineSpec spec;
+  try {
+    spec.set(key_equals_value);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(MachineSpecSet, ErrorTextsNameTheGroup) {
+  EXPECT_EQ(set_error("l1i.size=1"), "unknown cache field in \"l1i.size\"");
+  EXPECT_EQ(set_error("l3.ways.x=1"), "unknown cache field in \"l3.ways.x\"");
+  EXPECT_EQ(set_error("dtlb.sets=4"), "unknown TLB field in \"dtlb.sets\"");
+  EXPECT_EQ(set_error("shadow_itlb.size=4"),
+            "unknown shadow field in \"shadow_itlb.size\"");
+  const std::string generic =
+      "\" (see MachineSpec::set in src/sim/machine.h for the grammar)";
+  EXPECT_EQ(set_error("predictor.kind=x"),
+            "unknown machine-spec key \"predictor.kind" + generic);
+  EXPECT_EQ(set_error("l4.ways=2"), "unknown machine-spec key \"l4.ways" +
+                                        generic);
+  EXPECT_EQ(set_error("map_text=yes"), "expected true/false for \"map_text\"");
+  EXPECT_EQ(set_error("ldq_entries=-1"),
+            "expected a non-negative integer for \"ldq_entries\", got \"-1\"");
+  EXPECT_EQ(set_error("predictor.direction=tage"),
+            "unknown predictor direction \"tage\" (expected bimodal, gshare "
+            "or perceptron)");
+}
+
+// ---- the field table: every key, goldens, strict documents -----------------
+
+/// The --set grammar: one key per scalar MachineSpec field (preset,
+/// memory_map and pokes aside), each with a value neither preset uses.
+const std::vector<std::pair<std::string, std::string>>& every_key() {
+  static const std::vector<std::pair<std::string, std::string>> keys = {
+      {"policy", "WFC"},
+      {"allow_undersized_shadows", "true"},
+      {"map_text", "false"},
+      {"trace", "@"},
+      {"cores", "3"},
+      {"fetch_width", "5"},
+      {"issue_width", "4"},
+      {"commit_width", "3"},
+      {"iq_entries", "40"},
+      {"rob_entries", "100"},
+      {"ldq_entries", "30"},
+      {"stq_entries", "20"},
+      {"fetch_to_dispatch_delay", "7"},
+      {"commit_delay", "6"},
+      {"dib_lines", "256"},
+      {"alu_latency", "2"},
+      {"mul_latency", "5"},
+      {"div_latency", "33"},
+      {"shadow_hit_latency", "9"},
+      {"sharp_alarm_threshold", "77"},
+      {"sharp_alarm_epoch", "5000"},
+      {"l1i.size_bytes", "16384"},
+      {"l1i.ways", "4"},
+      {"l1i.line_bytes", "128"},
+      {"l1i.hit_latency", "3"},
+      {"l1d.size_bytes", "65536"},
+      {"l1d.ways", "16"},
+      {"l1d.line_bytes", "16"},
+      {"l1d.hit_latency", "5"},
+      {"l2.size_bytes", "1048576"},
+      {"l2.ways", "2"},
+      {"l2.line_bytes", "256"},
+      {"l2.hit_latency", "15"},
+      {"l3.size_bytes", "8388608"},
+      {"l3.ways", "32"},
+      {"l3.line_bytes", "512"},
+      {"l3.hit_latency", "50"},
+      {"memory_latency", "300"},
+      {"itlb.entries", "128"},
+      {"itlb.ways", "8"},
+      {"dtlb.entries", "256"},
+      {"dtlb.ways", "2"},
+      {"shadow_dcache.entries", "11"},
+      {"shadow_dcache.full_policy", "stall"},
+      {"shadow_icache.entries", "13"},
+      {"shadow_icache.full_policy", "stall"},
+      {"shadow_dtlb.entries", "17"},
+      {"shadow_dtlb.full_policy", "stall"},
+      {"shadow_itlb.entries", "19"},
+      {"shadow_itlb.full_policy", "stall"},
+      {"predictor.direction", "perceptron"},
+      {"predictor.table_bits", "9"},
+      {"predictor.history_bits", "21"},
+      {"predictor.perceptron_weights", "31"},
+      {"predictor.btb_entries", "2048"},
+      {"predictor.btb_ways", "8"},
+      {"predictor.rsb_depth", "24"},
+      {"sampling.fast_forward_interval", "123456"},
+      {"sampling.warmup_instrs", "2500"},
+      {"sampling.detail_instrs", "7500"},
+  };
+  return keys;
+}
+
+std::string read_golden(const std::string& name) {
+  return json::read_file(std::string(SAFESPEC_GOLDEN_DIR) + "/" + name);
+}
+
+TEST(MachineSpecJson, PresetsMatchTheirGoldens) {
+  EXPECT_EQ(sim::machine_preset("skylake").to_json(),
+            read_golden("machine_skylake.json"));
+  EXPECT_EQ(sim::machine_preset("embedded").to_json(),
+            read_golden("machine_embedded.json"));
+}
+
+TEST(MachineSpecJson, EveryFieldChangedMatchesGoldenAndRoundTrips) {
+  MachineSpec spec = sim::machine_preset("skylake");
+  for (const auto& [key, value] : every_key()) spec.set(key, value);
+  spec.regions.push_back({0x700000, kPageSize, memory::PagePerm::kUser});
+  spec.regions.push_back({0x900000, 2 * kPageSize, memory::PagePerm::kKernel});
+  spec.pokes.push_back({0x700008, 42});
+  const std::string json = spec.to_json();
+  EXPECT_EQ(json, read_golden("machine_every_field.json"));
+  EXPECT_EQ(MachineSpec::from_json(json).to_json(), json);
+}
+
+TEST(MachineSpecSet, EveryKeyRoundTripsThroughJson) {
+  const std::string preset = sim::machine_preset("skylake").to_json();
+  std::set<std::string> seen;
+  for (const auto& [key, value] : every_key()) {
+    SCOPED_TRACE(key);
+    EXPECT_TRUE(seen.insert(key).second) << "listed twice";
+    MachineSpec spec = sim::machine_preset("skylake");
+    spec.set(key, value);
+    const std::string json = spec.to_json();
+    EXPECT_NE(json, preset) << "the key changed no serialized field";
+    MachineSpec parsed = MachineSpec::from_json(json);
+    EXPECT_EQ(parsed.to_json(), json);
+    // The parsed spec already holds the value, so setting it again is a
+    // no-op: the --set key and the JSON key name the same field.
+    parsed.set(key, value);
+    EXPECT_EQ(parsed.to_json(), json);
+  }
+  EXPECT_EQ(seen.size(), 60u);
+}
+
+TEST(MachineSpecJson, RejectsWhatTheLayoutDoesNotList) {
+  for (const char* doc : {
+           // Keys the layout lacks.
+           R"({"rob_entries": 64})",  // belongs under "core"
+           R"({"core": {"rob_entires": 64}})",
+           R"({"caches": {"l1i": {"size": 1}}})",
+           R"({"caches": {"l4": {"ways": 2}}})",
+           R"({"shadows": {"dcache": {"full": "stall"}}})",
+           R"({"memory_map": [{"base": 4096, "bytse": 4096}]})",
+           R"({"pokes": [{"adr": 4096, "value": 1}]})",
+           // Groups that are not objects, leaves of the wrong type.
+           R"({"core": 5})",
+           R"({"caches": {"l1d": 32768}})",
+           R"({"map_text": "true"})",
+           R"({"policy": 3})",
+           R"({"preset": true})",
+           R"({"core": {"rob_entries": true}})",
+           R"({"core": {"rob_entries": {"value": 64}}})",
+           R"({"shadows": {"dcache": {"full_policy": 1}}})",
+           R"({"memory_map": {"base": 4096, "bytes": 4096}})",
+           R"({"pokes": [5]})",
+           // Integers their field cannot hold: 2^32 + 2 is not 2 cores.
+           R"({"cores": 4294967298})",
+           R"({"cores": 2147483648})",
+           R"({"core": {"rob_entries": 4294967360}})",
+           R"({"caches": {"l1d": {"ways": "0x100000008"}}})",
+           R"({"sampling": {"warmup_instrs": 18446744073709551616}})",
+       }) {
+    EXPECT_THROW(MachineSpec::from_json(doc), std::invalid_argument) << doc;
+  }
+  // 64-bit fields keep their full range; int fields reach INT_MAX.
+  const MachineSpec spec = MachineSpec::from_json(
+      R"({"core": {"rob_entries": 2147483647},
+          "sampling": {"warmup_instrs": 18446744073709551615}})");
+  EXPECT_EQ(spec.core.rob_entries, 2147483647);
+  EXPECT_EQ(spec.sampling.warmup_instrs, ~0ull);
 }
 
 // ---- builder ---------------------------------------------------------------
@@ -352,7 +543,7 @@ TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
   constexpr std::uint64_t kUserBytes = 8 * kPageSize;
   constexpr Addr kKernel = 0x400000;
   MachineBuilder builder = MachineBuilder::from_preset("skylake")
-                               .cores(4)
+                               .set("cores=4")
                                .map_region(kUser, kUserBytes)
                                .map_region(kKernel, kPageSize,
                                            memory::PagePerm::kKernel);
@@ -436,14 +627,15 @@ TEST(MachineBuilderTest, HeterogeneousMachineMapsEachCoresOwnText) {
 }
 
 TEST(MachineBuilderTest, ValidationFailuresSurfaceAtBuild) {
-  EXPECT_THROW(
-      MachineBuilder().shadow_entries(4, 4).build(tiny_program()),
-      std::invalid_argument);
+  MachineBuilder builder;
+  for (const char* shadow :
+       {"shadow_dcache", "shadow_dtlb", "shadow_icache", "shadow_itlb"}) {
+    builder.set(std::string(shadow) + ".entries=4");
+  }
+  EXPECT_THROW(builder.build(tiny_program()), std::invalid_argument);
   // Same sizing is fine once explicitly allowed.
-  EXPECT_NO_THROW(MachineBuilder()
-                      .policy("WFC")
-                      .shadow_entries(4, 4)
-                      .allow_undersized_shadows()
+  EXPECT_NO_THROW(builder.policy("WFC")
+                      .set("allow_undersized_shadows=true")
                       .build(tiny_program()));
 }
 
