@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
         reps[p],
         {base_ipc == 0 ? 0 : policy_sweep.at(p, 1).ipc / base_ipc,
          base_ipc == 0 ? 0 : policy_sweep.at(p, 2).ipc / base_ipc});
+    ablation1.annotate_last_row(policy_sweep.stop_note(p, {0, 1, 2}));
   }
   ablation1.print(stdout);
   std::printf("(paper §IV-B: the WFB performance benefit is small, so WFC's\n"
@@ -70,6 +71,8 @@ int main(int argc, char** argv) {
       row.push_back(base_ipc == 0 ? 0 : wfc_ipc / base_ipc);
     }
     ablation2.add_row(reps[p], row);
+    ablation2.annotate_last_row(
+        predictor_sweep.stop_note(p, {0, 1, 2, 3, 4, 5}));
   }
   ablation2.print(stdout);
   std::printf("(SafeSpec's relative cost is stable across predictor\n"
@@ -92,6 +95,5 @@ int main(int argc, char** argv) {
               " writeback-to-retire gap covers it, the race is won —\n"
               " this is the P1 window real retirement pipelines expose)\n");
 
-  experiment::write_files({&ablation1, &ablation2}, opts);
-  return 0;
+  return experiment::write_files({ablation1, ablation2}, opts) ? 0 : 1;
 }

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         {"shadow_itlb", static_cast<double>(c.shadow_itlb.entries)},
     };
     for (const auto& p : params) table.add_row(p.name, {p.value}, "%12.0f");
-    experiment::write_files({&table}, opts);
+    if (!experiment::write_files({table}, opts)) return 1;
   }
   return 0;
 }

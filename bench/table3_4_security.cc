@@ -229,7 +229,8 @@ int main(int argc, char** argv) {
            out.leaked ? 1.0 : 0.0},
           "%12.0f");
     }
-    experiment::write_files({&stopped, &transient, &xcore, &ablation}, opts);
+    return experiment::write_files({stopped, transient, xcore, ablation},
+                                   opts) ? 0 : 1;
   }
   return 0;
 }

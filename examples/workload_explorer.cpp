@@ -8,7 +8,6 @@
 //   $ ./examples/workload_explorer mcf WFC 100000   # run one
 //   $ ./examples/workload_explorer mcf WFB-stall --set=preset=embedded
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
   if (policy_name == "wfc") policy_name = "WFC";
   const std::uint64_t instrs =
       opts.positional.size() > 2
-          ? std::strtoull(opts.positional[2].c_str(), nullptr, 10)
+          ? cli::parse_budget_or_exit(opts.positional[2].c_str(), "instrs")
           : opts.instrs;
 
   experiment::ExperimentSpec spec;
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
     table.add_row(spec.workload_axis()[0],
                   {r.ipc, r.dcache_miss_rate_incl_shadow(),
                    r.icache_miss_rate_incl_shadow()});
-    experiment::write_files({&table}, opts);
+    if (!experiment::write_files({table}, opts)) return 1;
   }
   return 0;
 }

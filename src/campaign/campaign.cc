@@ -12,7 +12,6 @@
 #include "cpu/core.h"
 #include "experiment/cell.h"
 #include "experiment/experiment.h"
-#include "experiment/row_sink.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
 #include "safespec/policy.h"
@@ -23,7 +22,7 @@ namespace safespec::campaign {
 namespace {
 
 std::string quoted(const std::string& text) {
-  return "\"" + experiment::json_escape(text) + "\"";
+  return "\"" + json::escape(text) + "\"";
 }
 
 std::string string_array(const std::vector<std::string>& items) {
@@ -92,7 +91,7 @@ struct ScanResult {
 };
 
 std::string header_line(const Manifest& m, int shard) {
-  return experiment::JsonlObject()
+  return json::JsonlObject()
       .text("campaign", m.name)
       .u64("version", m.version)
       .text("kind", m.kind)
@@ -422,7 +421,7 @@ std::uint64_t run_fuzz_units(const Manifest& m,
         // Simulated data only — no wall times, no host identity — so the
         // line is a pure function of (manifest, unit) and merges
         // byte-identically across kills, resumes and shard splits.
-        journal.append(unit, experiment::JsonlObject()
+        journal.append(unit, json::JsonlObject()
                                  .u64("unit", unit)
                                  .u64("seed", seed)
                                  .boolean("ok", v.ok)
@@ -443,7 +442,7 @@ void run_grid_units(const Manifest& m,
         const std::uint64_t unit = pending[i];
         const experiment::Cell cell = grid_cell(m.grid, unit);
         const sim::SimResult result = experiment::run_cell(cell).result;
-        journal.append(unit, experiment::JsonlObject()
+        journal.append(unit, json::JsonlObject()
                                  .u64("unit", unit)
                                  .text("workload", cell.workload)
                                  .text("policy", cell.policy)

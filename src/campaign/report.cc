@@ -5,7 +5,7 @@
 #include <limits>
 #include <map>
 
-#include "experiment/row_sink.h"
+#include "common/json.h"
 
 namespace safespec::campaign {
 
@@ -177,7 +177,7 @@ std::string render_trend_json(const std::vector<PerfRun>& runs) {
   std::string out = "{\n  \"runs\": [";
   for (std::size_t r = 0; r < runs.size(); ++r) {
     if (r > 0) out += ", ";
-    out += "\"" + experiment::json_escape(runs[r].label) + "\"";
+    out += "\"" + json::escape(runs[r].label) + "\"";
   }
   out += "],\n  \"aggregate_mips\": [";
   for (std::size_t r = 0; r < runs.size(); ++r) {
@@ -188,7 +188,7 @@ std::string render_trend_json(const std::vector<PerfRun>& runs) {
   for (std::size_t k = 0; k < series.keys.size(); ++k) {
     out += k == 0 ? "\n" : ",\n";
     const std::vector<double>& values = series.by_key.at(series.keys[k]);
-    out += "    {\"key\": \"" + experiment::json_escape(series.keys[k]) +
+    out += "    {\"key\": \"" + json::escape(series.keys[k]) +
            "\", \"mips\": [";
     for (std::size_t r = 0; r < values.size(); ++r) {
       if (r > 0) out += ", ";

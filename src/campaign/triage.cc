@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/json.h"
-#include "experiment/row_sink.h"
 
 namespace safespec::campaign {
 
@@ -164,8 +163,8 @@ std::string render_triage_json(const TriageReport& report) {
     const TriageGroup& group = report.groups[g];
     out += g == 0 ? "\n" : ",\n";
     out += "    {\"fingerprint\": \"" +
-           experiment::json_escape(group.fingerprint) + "\",\n";
-    out += "     \"example\": \"" + experiment::json_escape(group.example) +
+           json::escape(group.fingerprint) + "\",\n";
+    out += "     \"example\": \"" + json::escape(group.example) +
            "\",\n";
     out += "     \"first_seed\": " + std::to_string(group.first_seed) +
            ",\n";

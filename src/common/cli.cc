@@ -29,6 +29,16 @@ std::uint64_t parse_u64_or_exit(const char* value, const char* flag) {
   }
 }
 
+std::uint64_t parse_budget_or_exit(const char* value, const char* flag) {
+  const std::uint64_t v = parse_u64_or_exit(value, flag);
+  if (v == 0) {
+    std::fprintf(stderr, "%s=0 runs no instructions; give at least 1\n",
+                 flag);
+    std::exit(2);
+  }
+  return v;
+}
+
 int parse_int_or_exit(const char* value, const char* flag,
                       std::uint64_t max) {
   const std::uint64_t v = parse_u64_or_exit(value, flag);
@@ -190,14 +200,11 @@ BenchOptions parse_bench_args(int argc, char** argv, const char* extra_usage,
     print_bench_usage(prog, have_extra ? extra.c_str() : nullptr,
                       default_instrs, out);
   });
-  // The historical bench loop parsed --threads with atoi and --instrs
-  // with strtoull — tolerant of trailing garbage. Kept bit-for-bit.
-  flags.value("--threads",
-              [&opts](const char* v) { opts.threads = std::atoi(v); });
+  flags.bounded_int("--threads", &opts.threads);
   flags.string("--csv", &opts.csv_path);
   flags.string("--json", &opts.json_path);
   flags.value("--instrs", [&opts](const char* v) {
-    opts.instrs = std::strtoull(v, nullptr, 10);
+    opts.instrs = parse_budget_or_exit(v, "--instrs");
   });
   flags.string("--config", &opts.config_path, /*separated=*/true);
   flags.repeated("--set", &opts.overrides, /*separated=*/true);

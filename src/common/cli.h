@@ -1,17 +1,10 @@
 // Shared command-line layer for every driver, bench and tool.
 //
-// Before this header existed, perf_driver, fuzz_driver, trace_record and
-// the bench binaries each carried their own copy of the same
-// flag_value() / parse-loop / usage boilerplate. FlagSet is the one
-// implementation they all sit on now: a tool registers its flags with
-// handlers (so each tool keeps its exact historical parse semantics —
-// strict json::parse_u64 where it was strict, tolerant atoi where it was
-// tolerant), hands over its verbatim usage printer, and gets the shared
-// loop: --help/-h to stdout + exit 0, "--flag=value" everywhere,
-// optional "--flag value", unknown-flag error + usage to stderr +
-// exit 2, optional positional passthrough. Migrating a tool onto FlagSet
-// must not change a single byte of its --help output or its
-// accepted/rejected argv behavior.
+// FlagSet is the one parse loop they all sit on: a tool registers its
+// flags with handlers, hands over its verbatim usage printer, and gets
+// the shared loop: --help/-h to stdout + exit 0, "--flag=value"
+// everywhere, optional "--flag value", unknown-flag error + usage to
+// stderr + exit 2, optional positional passthrough.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +22,10 @@ std::vector<std::string> split_csv(const std::string& text);
 /// not silently run zero work and exit green. Prints the parse error and
 /// exits(2); `flag` names the flag in the message.
 std::uint64_t parse_u64_or_exit(const char* value, const char* flag);
+
+/// parse_u64_or_exit for an instruction budget: zero exits(2) too, since
+/// a run of no instructions measures nothing.
+std::uint64_t parse_budget_or_exit(const char* value, const char* flag);
 
 /// parse_u64_or_exit bounded to a sane int range (exit 2 past `max`).
 int parse_int_or_exit(const char* value, const char* flag,
@@ -100,8 +97,6 @@ class FlagSet {
 
 /// Options every bench accepts: --threads=N, --csv=PATH, --json=PATH,
 /// --instrs=N, --config=FILE, --set=key=value (repeatable), --help.
-/// (Formerly experiment::BenchOptions; experiment.h aliases it back so
-/// bench call sites are unchanged.)
 struct BenchOptions {
   int threads = 0;               ///< 0 = hardware concurrency
   std::string csv_path;          ///< empty = no CSV emission
@@ -113,7 +108,8 @@ struct BenchOptions {
 };
 
 /// Parses the shared bench flags; prints usage and exits on --help or an
-/// unknown --flag. Positional arguments pass through untouched.
+/// unknown --flag, and exits(2) on a malformed --threads or --instrs or a
+/// zero --instrs. Positional arguments pass through untouched.
 /// `default_instrs` seeds --instrs and appears in the usage text.
 BenchOptions parse_bench_args(int argc, char** argv, const char* extra_usage,
                               std::uint64_t default_instrs);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -349,6 +350,75 @@ void Writer::begin_item() {
     indent();
   }
   fresh_scope_ = false;
+}
+
+std::string escape(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        out += static_cast<unsigned char>(c) < 0x20 ? '?' : c;
+    }
+  }
+  return out;
+}
+
+void JsonlObject::begin_field(const char* key) {
+  if (body_.size() > 1) body_ += ',';
+  body_ += '"';
+  body_ += escape(key);
+  body_ += "\":";
+}
+
+JsonlObject& JsonlObject::u64(const char* key, std::uint64_t value) {
+  begin_field(key);
+  body_ += std::to_string(value);
+  return *this;
+}
+
+JsonlObject& JsonlObject::number(const char* key, double value) {
+  begin_field(key);
+  if (std::isfinite(value)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    body_ += buf;
+  } else {
+    body_ += "null";
+  }
+  return *this;
+}
+
+JsonlObject& JsonlObject::text(const char* key, const std::string& value) {
+  begin_field(key);
+  body_ += '"';
+  body_ += escape(value);
+  body_ += '"';
+  return *this;
+}
+
+JsonlObject& JsonlObject::boolean(const char* key, bool value) {
+  begin_field(key);
+  body_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonlObject& JsonlObject::strings(const char* key,
+                                  const std::vector<std::string>& value) {
+  begin_field(key);
+  body_ += '[';
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    if (i > 0) body_ += ',';
+    body_ += '"';
+    body_ += escape(value[i]);
+    body_ += '"';
+  }
+  body_ += ']';
+  return *this;
 }
 
 }  // namespace safespec::json

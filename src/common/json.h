@@ -113,4 +113,30 @@ class Writer {
   bool fresh_scope_ = false;
 };
 
+/// Escapes text for embedding inside a JSON string literal. Quotes and
+/// backslashes are escaped, plus \n/\t/\r so multi-line payloads (e.g.
+/// joined violation lists) survive the round trip through parse(); other
+/// control bytes are replaced with '?' (the parser has no \u escape).
+std::string escape(const std::string& text);
+
+/// Incrementally builds one compact JSON object: one line of a JSONL
+/// journal, or one item of a bench's JSON table dump. Fields keep
+/// insertion order; numbers render as %.17g and non-finite ones as null,
+/// so the same value always serializes identically.
+class JsonlObject {
+ public:
+  JsonlObject& u64(const char* key, std::uint64_t value);
+  JsonlObject& number(const char* key, double value);
+  JsonlObject& text(const char* key, const std::string& value);
+  JsonlObject& boolean(const char* key, bool value);
+  JsonlObject& strings(const char* key, const std::vector<std::string>& value);
+
+  /// The closed "{...}" object (no trailing newline).
+  std::string str() const { return body_ + "}"; }
+
+ private:
+  void begin_field(const char* key);
+  std::string body_ = "{";
+};
+
 }  // namespace safespec::json

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/json.h"
+
 namespace safespec::experiment {
 
 // ---- spec -------------------------------------------------------------------
@@ -116,9 +118,10 @@ SweepResult ParallelRunner::run(const ExperimentSpec& spec) const {
                      std::move(results), std::move(variant_names));
 }
 
-std::string SweepResult::stop_note(std::size_t profile) const {
+std::string SweepResult::stop_note(
+    std::size_t profile, const std::vector<std::size_t>& variants) const {
   std::string note;
-  for (std::size_t v = 0; v < num_variants_; ++v) {
+  for (const std::size_t v : variants) {
     const auto stop = at(profile, v).stop;
     if (stop == cpu::StopReason::kHalted ||
         stop == cpu::StopReason::kMaxInstrs) {
@@ -141,6 +144,17 @@ std::string format_value(double value, const char* format) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
+}
+
+std::string csv_escape(const std::string& field) {
+  if (field.find_first_of(",\"\n") == std::string::npos) return field;
+  std::string quoted = "\"";
+  for (char c : field) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  quoted += '"';
+  return quoted;
 }
 
 }  // namespace
@@ -177,48 +191,61 @@ void ResultTable::annotate_last_row(const std::string& note) {
   rows_.back().note = note;
 }
 
-bool ResultTable::any_note() const {
-  for (const auto& row : rows_) {
-    if (!row.note.empty()) return true;
-  }
-  return false;
-}
-
-void ResultTable::emit(RowSink& sink) const {
-  sink.begin_table(title_, columns_, any_note());
-  for (const auto& row : rows_) {
-    TableRow out;
-    out.name = row.name;
-    out.texts.reserve(row.cells.size());
-    out.values.reserve(row.cells.size());
-    for (const auto& cell : row.cells) {
-      out.texts.push_back(cell.text);
-      out.values.push_back(cell.value);
-    }
-    out.note = row.note;
-    sink.row(out);
-  }
-  sink.end_table();
-}
-
 void ResultTable::print(std::FILE* out) const {
-  TextTableSink sink(out);
-  emit(sink);
+  std::fprintf(out, "\n%s\n", title_.c_str());
+  std::fprintf(out, "%-12s", "benchmark");
+  for (const auto& c : columns_) std::fprintf(out, " %12s", c.c_str());
+  std::fprintf(out, "\n%s\n",
+               std::string(12 + columns_.size() * 13, '-').c_str());
+  for (const auto& row : rows_) {
+    std::fprintf(out, "%-12s", row.name.c_str());
+    for (const auto& cell : row.cells) {
+      std::fprintf(out, " %s", cell.text.c_str());
+    }
+    if (!row.note.empty()) std::fprintf(out, "  !%s", row.note.c_str());
+    std::fprintf(out, "\n");
+  }
 }
 
 void ResultTable::append_csv(std::FILE* out) const {
-  CsvSink sink(out);
-  emit(sink);
+  const bool notes =
+      std::any_of(rows_.begin(), rows_.end(),
+                  [](const Row& row) { return !row.note.empty(); });
+  std::fprintf(out, "table,benchmark");
+  for (const auto& c : columns_) {
+    std::fprintf(out, ",%s", csv_escape(c).c_str());
+  }
+  std::fprintf(out, notes ? ",stop\n" : "\n");
+  for (const auto& row : rows_) {
+    std::fprintf(out, "%s,%s", csv_escape(title_).c_str(),
+                 csv_escape(row.name).c_str());
+    for (const auto& cell : row.cells) {
+      if (cell.value) {
+        std::fprintf(out, ",%.17g", *cell.value);
+      } else {
+        std::fprintf(out, ",");
+      }
+    }
+    if (notes) std::fprintf(out, ",%s", csv_escape(row.note).c_str());
+    std::fprintf(out, "\n");
+  }
 }
 
 void ResultTable::append_json(std::vector<std::string>& items) const {
-  JsonItemsSink sink(items);
-  emit(sink);
+  for (const auto& row : rows_) {
+    json::JsonlObject item;
+    item.text("table", title_).text("row", row.name);
+    for (std::size_t c = 0; c < row.cells.size(); ++c) {
+      const std::string key =
+          c < columns_.size() ? columns_[c] : "col" + std::to_string(c);
+      item.number(key.c_str(), row.cells[c].value.value_or(NAN));
+    }
+    if (!row.note.empty()) item.text("stop", row.note);
+    items.push_back(item.str());
+  }
 }
 
 // ---- CLI --------------------------------------------------------------------
-// Flag parsing moved to common/cli.{h,cc}; what remains here is the
-// experiment-specific half: resolving the machine and emitting tables.
 
 sim::MachineSpec resolve_machine(const BenchOptions& options) {
   try {
@@ -242,43 +269,50 @@ sim::MachineSpec resolve_machine(const BenchOptions& options) {
   }
 }
 
-void emit_tables(const std::vector<const ResultTable*>& tables,
-                 const BenchOptions& options) {
-  for (const ResultTable* table : tables) table->print(stdout);
-  write_files(tables, options);
+namespace {
+
+/// Writes one output file through `write`; false, with the reason on
+/// stderr, when the file cannot be opened, written or closed.
+bool write_file(const std::string& path, const char* what,
+                const std::function<void(std::FILE*)>& write) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  write(out);
+  const bool write_failed = std::ferror(out) != 0;
+  if (std::fclose(out) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
+  return true;
 }
 
-void write_files(const std::vector<const ResultTable*>& tables,
+}  // namespace
+
+bool write_files(const std::vector<ResultTable>& tables,
                  const BenchOptions& options) {
+  bool ok = true;
   if (!options.csv_path.empty()) {
-    std::FILE* out = std::fopen(options.csv_path.c_str(), "w");
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   options.csv_path.c_str());
-    } else {
-      for (const ResultTable* table : tables) table->append_csv(out);
-      std::fclose(out);
-      std::fprintf(stderr, "wrote CSV to %s\n", options.csv_path.c_str());
-    }
+    ok &= write_file(options.csv_path, "CSV", [&](std::FILE* out) {
+      for (const ResultTable& table : tables) table.append_csv(out);
+    });
   }
   if (!options.json_path.empty()) {
-    std::FILE* out = std::fopen(options.json_path.c_str(), "w");
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   options.json_path.c_str());
-    } else {
+    ok &= write_file(options.json_path, "JSON", [&](std::FILE* out) {
       std::vector<std::string> items;
-      for (const ResultTable* table : tables) table->append_json(items);
+      for (const ResultTable& table : tables) table.append_json(items);
       std::fprintf(out, "[\n");
       for (std::size_t i = 0; i < items.size(); ++i) {
         std::fprintf(out, "  %s%s\n", items[i].c_str(),
                      i + 1 < items.size() ? "," : "");
       }
       std::fprintf(out, "]\n");
-      std::fclose(out);
-      std::fprintf(stderr, "wrote JSON to %s\n", options.json_path.c_str());
-    }
+    });
   }
+  return ok;
 }
 
 }  // namespace safespec::experiment

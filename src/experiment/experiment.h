@@ -17,7 +17,6 @@
 
 #include "common/cli.h"
 #include "experiment/cell.h"
-#include "experiment/row_sink.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
 
@@ -89,11 +88,13 @@ class SweepResult {
   std::size_t num_profiles() const { return num_profiles_; }
   std::size_t num_variants() const { return num_variants_; }
 
-  /// "" when every cell of the profile's row converged (halted or
-  /// reached its instruction budget); otherwise space-joined
-  /// "variant:stop-reason" fragments for the cells that did not — row
-  /// annotations making non-converged cells visible in every sink.
-  std::string stop_note(std::size_t profile) const;
+  /// "" when each listed variant's cell of the profile's row converged
+  /// (halted or reached its instruction budget); otherwise space-joined
+  /// "variant:stop-reason" fragments for the cells that did not, in the
+  /// order `variants` lists them. A table passes the variants its row
+  /// reads, so a non-converged cell shows in every format it writes.
+  std::string stop_note(std::size_t profile,
+                        const std::vector<std::size_t>& variants) const;
 
  private:
   std::size_t num_profiles_;
@@ -129,10 +130,9 @@ class ParallelRunner {
 
 // ---- result table -----------------------------------------------------------
 
-/// Row/column sink for one figure or table. Renders the paper's aligned
-/// text layout (12-wide name column, 12-wide right-aligned cells — the
-/// format every bench printed by hand before) and can re-emit the same
-/// rows as CSV or JSON for the bench trajectory.
+/// Rows and columns of one figure or table. Renders the paper's aligned
+/// text layout (12-wide name column, 12-wide right-aligned cells) and
+/// re-emits the same rows as CSV or JSON for the bench trajectory.
 class ResultTable {
  public:
   ResultTable(std::string title, std::vector<std::string> columns);
@@ -152,22 +152,16 @@ class ResultTable {
   /// cycle budget or faulted is flagged in text, CSV and JSON output.
   void annotate_last_row(const std::string& note);
 
-  const std::string& title() const { return title_; }
-  std::size_t num_rows() const { return rows_.size(); }
-
-  /// Streams the table through any RowSink (begin_table, rows,
-  /// end_table) — the one emission path all the sinks below share.
-  void emit(RowSink& sink) const;
-
-  /// Aligned text, exactly the layout bench_util.h used to print.
-  /// (emit through a TextTableSink.)
+  /// Aligned text: the title, a header, a rule, then one line per row
+  /// with any stop note appended as "  !note".
   void print(std::FILE* out = stdout) const;
-  /// CSV section: `table,benchmark,<columns...>` header then one line per
-  /// row (full-precision values, blanks for missing cells). (CsvSink.)
+  /// CSV section: `table,benchmark,<columns...>[,stop]` header then one
+  /// line per row (full-precision values, blanks for missing cells); the
+  /// stop column appears only when some row carries a note.
   void append_csv(std::FILE* out) const;
-  /// JSON objects {"table":..., "row":..., "<column>": value, ...}
-  /// appended to `items` (the CLI helper wraps them in one array).
-  /// (JsonItemsSink.)
+  /// JSON objects {"table":..., "row":..., "<column>": value, ...,
+  /// ["stop": note]} appended to `items` (write_files wraps them in one
+  /// array); missing and non-finite values are null.
   void append_json(std::vector<std::string>& items) const;
 
  private:
@@ -180,8 +174,6 @@ class ResultTable {
     std::vector<Cell> cells;
     std::string note;  ///< e.g. "WFC:max-cycles"; "" on converged rows
   };
-  bool any_note() const;
-
   std::string title_;
   std::vector<std::string> columns_;
   std::vector<Row> rows_;
@@ -189,12 +181,12 @@ class ResultTable {
 
 // ---- CLI --------------------------------------------------------------------
 
-/// The shared flag family lives in common/cli.h now (every tool sits on
-/// cli::FlagSet); these aliases keep bench call sites unchanged.
 using BenchOptions = cli::BenchOptions;
 
-/// Parses the shared flags; prints usage and exits on --help or an
-/// unknown --flag. Positional arguments pass through untouched.
+/// Parses the shared bench flags (common/cli.h) with the default
+/// instruction budget; prints usage and exits on --help or an unknown
+/// --flag, and exits(2) on a malformed number or a zero budget.
+/// Positional arguments pass through untouched.
 inline BenchOptions parse_bench_args(int argc, char** argv,
                                      const char* extra_usage = nullptr) {
   return cli::parse_bench_args(argc, argv, extra_usage, kInstrsPerRun);
@@ -206,14 +198,11 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
 /// call this once, right after parse_bench_args.
 sim::MachineSpec resolve_machine(const BenchOptions& options);
 
-/// Writes every table once to each requested sink: aligned text to
-/// stdout, plus CSV/JSON files when the options ask for them.
-void emit_tables(const std::vector<const ResultTable*>& tables,
-                 const BenchOptions& options);
-
-/// File sinks only (benches that interleave tables with prose print the
-/// text themselves and call this at the end).
-void write_files(const std::vector<const ResultTable*>& tables,
-                 const BenchOptions& options);
+/// Writes the tables to the CSV and JSON files the options name (a bench
+/// prints their text itself, interleaved with any prose, and calls this
+/// at the end). False, with the reason on stderr, when a file could
+/// not be opened, written or closed; the bench then exits nonzero.
+[[nodiscard]] bool write_files(const std::vector<ResultTable>& tables,
+                               const BenchOptions& options);
 
 }  // namespace safespec::experiment

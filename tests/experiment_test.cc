@@ -1,7 +1,8 @@
 // Tests for the experiment engine: the cell grammar and resolver,
 // declarative grid expansion, the parallel runner's determinism guarantee
 // (bitwise-identical results regardless of thread count), the stats
-// merge helpers the sweeps aggregate with, and the ResultTable sinks.
+// merge helpers the sweeps aggregate with, ResultTable's text, CSV and
+// JSON output, and the bench flags.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -321,8 +322,16 @@ TEST(SweepResult, StopNoteFlagsNonConvergedCells) {
   wedged.stop = cpu::StopReason::kFaultNoHandler;
   const SweepResult sweep(2, 2, {ok, budget, ok, wedged},
                           {"baseline", "WFC"});
-  EXPECT_EQ(sweep.stop_note(0), "WFC:max-cycles");
-  EXPECT_EQ(sweep.stop_note(1), "WFC:fault");
+  EXPECT_EQ(sweep.stop_note(0, {0, 1}), "WFC:max-cycles");
+  EXPECT_EQ(sweep.stop_note(1, {0, 1}), "WFC:fault");
+
+  // A table notes only the variants it reads, in the order it lists them.
+  const SweepResult three(1, 3, {ok, wedged, budget},
+                          {"baseline", "WFB", "WFC"});
+  EXPECT_EQ(three.stop_note(0, {0, 1, 2}), "WFB:fault WFC:max-cycles");
+  EXPECT_EQ(three.stop_note(0, {2, 1}), "WFC:max-cycles WFB:fault");
+  EXPECT_EQ(three.stop_note(0, {0, 2}), "WFC:max-cycles");
+  EXPECT_EQ(three.stop_note(0, {0}), "");
 }
 
 TEST(ResultTable, StopNotesSurfaceInEverySink) {
@@ -350,30 +359,6 @@ TEST(ResultTable, StopNotesSurfaceInEverySink) {
   EXPECT_NE(items[1].find("\"stop\":\"WFC:max-cycles\""), std::string::npos);
 }
 
-TEST(ResultTable, JsonlSinkWritesAppendJsonObjectsOnePerLine) {
-  ResultTable table("T", {"a", "b"});
-  table.add_row("good", {1.0, 2.5});
-  table.add_row("bad", {3.0, 4.0});
-  table.annotate_last_row("WFC:max-cycles");
-
-  std::vector<std::string> items;
-  table.append_json(items);
-  ASSERT_EQ(items.size(), 2u);
-
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  JsonlSink sink(tmp);
-  table.emit(sink);
-  std::rewind(tmp);
-  std::string text(4096, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), tmp));
-  std::fclose(tmp);
-
-  // One line per row, each byte-identical to the JSON item emitter's
-  // object for that row: JSONL is the same objects, newline-delimited.
-  EXPECT_EQ(text, items[0] + "\n" + items[1] + "\n");
-}
-
 TEST(ResultTable, NoNotesMeansUnchangedCsvShape) {
   ResultTable table("T", {"a"});
   table.add_row("good", {1.0});
@@ -399,6 +384,41 @@ TEST(BenchOptions, ConfigAndSetFlagsParse) {
   EXPECT_EQ(opts.overrides[0], "policy=WFB");
   EXPECT_EQ(opts.overrides[1], "rob_entries=64");
   EXPECT_EQ(opts.threads, 2);
+}
+
+TEST(BenchOptions, MalformedNumbersAndZeroBudgetsExitTwo) {
+  for (const char* flag :
+       {"--instrs=abc", "--instrs=2k", "--instrs=0", "--threads=abc"}) {
+    const char* argv[] = {"bench", flag};
+    EXPECT_EXIT(parse_bench_args(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "")
+        << flag;
+  }
+  // workload_explorer's positional budget goes through the same check.
+  EXPECT_EXIT(cli::parse_budget_or_exit("2k", "instrs"),
+              ::testing::ExitedWithCode(2), "");
+  EXPECT_EQ(cli::parse_budget_or_exit("2000", "instrs"), 2000u);
+}
+
+TEST(ResultTable, WriteFilesFailsWhenAFileCannotBeWritten) {
+  ResultTable table("T", {"a"});
+  table.add_row("row", {1.0});
+  const std::string missing_dir = ::testing::TempDir() + "no-such-dir/";
+  BenchOptions csv;
+  csv.csv_path = missing_dir + "t.csv";
+  EXPECT_FALSE(write_files({table}, csv));
+  BenchOptions json;
+  json.json_path = missing_dir + "t.json";
+  EXPECT_FALSE(write_files({table}, json));
+  // /dev/full opens, but every write to it fails.
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    BenchOptions csv_full;
+    csv_full.csv_path = "/dev/full";
+    EXPECT_FALSE(write_files({table}, csv_full));
+  }
+  BenchOptions none;
+  EXPECT_TRUE(write_files({table}, none));
 }
 
 TEST(SimResultHardening, RateHelpersClampInsteadOfUnderflowing) {
