@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "common/log.h"
+#include <type_traits>
 
 namespace safespec::cpu {
 
@@ -55,7 +54,7 @@ const char* to_string(StopReason reason) {
 
 Core::Core(const CoreConfig& config, const isa::Program* program,
            memory::MainMemory* mem, memory::PageTable* page_table,
-           memory::SharedLevels* shared_levels, int core_id)
+           memory::SharedLevels& shared_levels, int core_id)
     : config_(tuned_config(config)),
       policy_(&policy::named_policy(config_.policy)),
       protection_on_(policy_->shadows_speculation()),
@@ -272,33 +271,25 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
   // shadow state only at commit and silently shifting WFB timing and
   // occupancy on every fault-handler recovery.
   promote_scan_ = std::min(promote_scan_, next_seq_);
-  // Wrong-path decoded instructions also hold shadow references.
-  for (FetchedInst& fi : fetch_queue_) {
-    if (fi.shadow_iline != DynInst::kNoShadow) {
-      shadow_icache_.release(fi.shadow_iline);
-    }
-    if (fi.shadow_itlb != DynInst::kNoShadow) {
-      shadow_itlb_.release(fi.shadow_itlb);
-    }
-    stats_.squashed_instrs++;
-  }
-  fetch_queue_.clear();
-  release_pending_fetch_refs();
-  fetch_pc_ = redirect_pc;
-  fetch_stalled_ = false;
-  fetch_busy_until_ = cycle_ + 1;
+  stats_.squashed_instrs += fetch_queue_.size();  // wrong-path fetches too
+  redirect_fetch(redirect_pc);
   rebuild_rename_map();
 }
 
-void Core::release_pending_fetch_refs() {
-  if (pending_iline_ != DynInst::kNoShadow) {
-    shadow_icache_.release(pending_iline_);
-    pending_iline_ = DynInst::kNoShadow;
-  }
-  if (pending_itlb_ != DynInst::kNoShadow) {
-    shadow_itlb_.release(pending_itlb_);
-    pending_itlb_ = DynInst::kNoShadow;
-  }
+void Core::redirect_fetch(Addr pc) {
+  // Fetched instructions never reached the ROB, so their refs are always
+  // released: the squash policy and mutation hooks govern ROB entries.
+  const auto release = [this](int& iline, int& itlb) {
+    if (iline != DynInst::kNoShadow) shadow_icache_.release(iline);
+    if (itlb != DynInst::kNoShadow) shadow_itlb_.release(itlb);
+    iline = itlb = DynInst::kNoShadow;
+  };
+  for (FetchedInst& fi : fetch_queue_) release(fi.shadow_iline, fi.shadow_itlb);
+  fetch_queue_.clear();
+  release(pending_iline_, pending_itlb_);
+  fetch_pc_ = pc;
+  fetch_stalled_ = false;
+  fetch_busy_until_ = cycle_ + 1;
 }
 
 void Core::rebuild_rename_map() {
@@ -460,58 +451,11 @@ void Core::erase_seq(std::vector<SeqNum>& seqs, SeqNum seq) {
 // --------------------------------------------------------------------------
 
 void Core::promote_shadow(DynInst& di) {
-  if (di.shadow_promoted) {
-    // WFB already moved the state; nothing left to do at commit.
-    di.shadow_dline = DynInst::kNoShadow;
-    di.shadow_iline = DynInst::kNoShadow;
-    di.shadow_dtlb = DynInst::kNoShadow;
-    di.shadow_itlb = DynInst::kNoShadow;
-    di.walker_refs.clear();
-    return;
-  }
+  // WFB promotes at resolution; an issued instruction acquires no refs
+  // after that, so commit finds nothing left to do.
+  if (di.shadow_promoted) return;
   di.shadow_promoted = true;
-  if (di.shadow_dline != DynInst::kNoShadow || !di.walker_refs.empty()) {
-    LOG_DEBUG("promote pc=0x" << std::hex << di.pc << std::dec << " @"
-                              << cycle_ << " dline=" << di.shadow_dline
-                              << " walkers=" << di.walker_refs.size());
-  }
-  if (di.shadow_dline != DynInst::kNoShadow) {
-    const Addr line = shadow_dcache_.key(di.shadow_dline);
-    shadow_dcache_.mark_promoted(di.shadow_dline);
-    hierarchy_.fill_all_levels(line, Side::kData);
-    shadow_dcache_.release(di.shadow_dline);
-    di.shadow_dline = DynInst::kNoShadow;
-  }
-  di.walker_refs.for_each([this](int ref) {
-    const Addr line = shadow_dcache_.key(ref);
-    shadow_dcache_.mark_promoted(ref);
-    hierarchy_.fill_all_levels(line, Side::kData);
-    shadow_dcache_.release(ref);
-  });
-  di.walker_refs.clear();
-  if (di.shadow_iline != DynInst::kNoShadow) {
-    const Addr line = shadow_icache_.key(di.shadow_iline);
-    shadow_icache_.mark_promoted(di.shadow_iline);
-    hierarchy_.fill_all_levels(line, Side::kInstr);
-    shadow_icache_.release(di.shadow_iline);
-    di.shadow_iline = DynInst::kNoShadow;
-  }
-  if (di.shadow_dtlb != DynInst::kNoShadow) {
-    const auto& payload = shadow_dtlb_.payload_of(di.shadow_dtlb);
-    shadow_dtlb_.mark_promoted(di.shadow_dtlb);
-    dtlb_.fill({shadow_dtlb_.key(di.shadow_dtlb), payload.ppage,
-                payload.kernel_only});
-    shadow_dtlb_.release(di.shadow_dtlb);
-    di.shadow_dtlb = DynInst::kNoShadow;
-  }
-  if (di.shadow_itlb != DynInst::kNoShadow) {
-    const auto& payload = shadow_itlb_.payload_of(di.shadow_itlb);
-    shadow_itlb_.mark_promoted(di.shadow_itlb);
-    itlb_.fill({shadow_itlb_.key(di.shadow_itlb), payload.ppage,
-                payload.kernel_only});
-    shadow_itlb_.release(di.shadow_itlb);
-    di.shadow_itlb = DynInst::kNoShadow;
-  }
+  settle_shadow(di, /*promote=*/true);
 }
 
 void Core::release_shadow(DynInst& di) {
@@ -519,43 +463,43 @@ void Core::release_shadow(DynInst& di) {
     // Injected defect (mutation testing): drop the references without
     // releasing them. The shadow entries stay live forever, so the
     // empty-shadows-after-drain invariant must trip.
-    di.shadow_dline = DynInst::kNoShadow;
-    di.shadow_iline = DynInst::kNoShadow;
-    di.shadow_dtlb = DynInst::kNoShadow;
-    di.shadow_itlb = DynInst::kNoShadow;
-    di.walker_refs.clear();
-    return;
-  }
-  // Squash handling is a policy decision point: every shipped policy
-  // annuls in place (Fig 3); a policy answering false promotes squashed
-  // state anyway — the insecure strawman for annulment-cost ablations.
-  if (!annul_on_squash_) {
+    di.drop_shadow_refs();
+  } else if (annul_on_squash_) {
+    settle_shadow(di, /*promote=*/false);
+  } else {
+    // Squash handling is a policy decision point: every shipped policy
+    // annuls in place (Fig 3); a policy answering false promotes squashed
+    // state anyway — the insecure strawman for annulment-cost ablations.
     promote_shadow(di);
-    return;
   }
-  if (di.shadow_dline != DynInst::kNoShadow || !di.walker_refs.empty()) {
-    LOG_DEBUG("release pc=0x" << std::hex << di.pc << std::dec << " @"
-                              << cycle_ << " dline=" << di.shadow_dline
-                              << " walkers=" << di.walker_refs.size());
-  }
-  if (di.shadow_dline != DynInst::kNoShadow) {
-    shadow_dcache_.release(di.shadow_dline);
-    di.shadow_dline = DynInst::kNoShadow;
-  }
-  di.walker_refs.for_each([this](int ref) { shadow_dcache_.release(ref); });
-  di.walker_refs.clear();
-  if (di.shadow_iline != DynInst::kNoShadow) {
-    shadow_icache_.release(di.shadow_iline);
-    di.shadow_iline = DynInst::kNoShadow;
-  }
-  if (di.shadow_dtlb != DynInst::kNoShadow) {
-    shadow_dtlb_.release(di.shadow_dtlb);
-    di.shadow_dtlb = DynInst::kNoShadow;
-  }
-  if (di.shadow_itlb != DynInst::kNoShadow) {
-    shadow_itlb_.release(di.shadow_itlb);
-    di.shadow_itlb = DynInst::kNoShadow;
-  }
+}
+
+void Core::settle_shadow(DynInst& di, bool promote) {
+  // A promotion counts the entry committed and installs it in the primary
+  // structure (a line in every cache level, a translation in the TLB)
+  // before the ref drops. The last release of an entry nobody promoted
+  // annuls it in place.
+  const auto settle = [&](auto& table, int id, Side side) {
+    if (id == DynInst::kNoShadow) return;
+    if (promote) {
+      table.mark_promoted(id);
+      if constexpr (std::is_same_v<decltype(table), shadow::ShadowCache&>) {
+        hierarchy_.fill_all_levels(table.key(id), side);
+      } else {
+        const auto& payload = table.payload_of(id);
+        (side == Side::kInstr ? itlb_ : dtlb_)
+            .fill({table.key(id), payload.ppage, payload.kernel_only});
+      }
+    }
+    table.release(id);
+  };
+  settle(shadow_dcache_, di.shadow_dline, Side::kData);
+  di.walker_refs.for_each(
+      [&](int id) { settle(shadow_dcache_, id, Side::kData); });
+  settle(shadow_icache_, di.shadow_iline, Side::kInstr);
+  settle(shadow_dtlb_, di.shadow_dtlb, Side::kData);
+  settle(shadow_itlb_, di.shadow_itlb, Side::kInstr);
+  di.drop_shadow_refs();
 }
 
 // --------------------------------------------------------------------------
@@ -602,50 +546,37 @@ void Core::stage_issue() {
 }
 
 bool Core::execute(DynInst& di) {
-  using isa::AluOp;
   Cycle latency = config_.alu_latency;
 
   switch (di.inst.op) {
     case OpClass::kNop:
     case OpClass::kFence:
     case OpClass::kHalt:
-      break;
-    case OpClass::kAlu: {
-      const std::uint64_t b = di.inst.use_imm
-                                  ? static_cast<std::uint64_t>(di.inst.imm)
-                                  : di.src2_value;
-      di.result = isa::eval_alu(di.inst.alu, di.src1_value, b);
-      break;
-    }
-    case OpClass::kMul: {
-      const std::uint64_t b = di.inst.use_imm
-                                  ? static_cast<std::uint64_t>(di.inst.imm)
-                                  : di.src2_value;
-      di.result = isa::eval_alu(di.inst.alu, di.src1_value, b);
-      latency = config_.mul_latency;
-      break;
-    }
-    case OpClass::kDiv: {
-      const std::uint64_t b = di.inst.use_imm
-                                  ? static_cast<std::uint64_t>(di.inst.imm)
-                                  : di.src2_value;
-      di.result = isa::eval_alu(di.inst.alu, di.src1_value, b);
-      latency = config_.div_latency;
-      break;
-    }
-    case OpClass::kRdCycle:
-      di.result = cycle_;
-      break;
     case OpClass::kBranch:
     case OpClass::kJump:
     case OpClass::kBranchIndirect:
     case OpClass::kRet:
       break;
+    case OpClass::kAlu:
+    case OpClass::kMul:
+    case OpClass::kDiv: {
+      const std::uint64_t b = di.inst.use_imm
+                                  ? static_cast<std::uint64_t>(di.inst.imm)
+                                  : di.src2_value;
+      di.result = isa::eval_alu(di.inst.alu, di.src1_value, b);
+      if (di.inst.op == OpClass::kMul) latency = config_.mul_latency;
+      if (di.inst.op == OpClass::kDiv) latency = config_.div_latency;
+      break;
+    }
+    case OpClass::kRdCycle:
+      di.result = cycle_;
+      break;
     case OpClass::kCall:
       di.result = di.pc + isa::kInstrBytes;  // link value
       break;
     case OpClass::kLoad: {
-      di.effective_addr = di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
+      di.effective_addr =
+          di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
 
       // Memory ordering: visit the older stores in the store queue. Any
       // older store with an unknown address blocks us (conservative
@@ -672,56 +603,37 @@ bool Core::execute(DynInst& di) {
         break;
       }
 
-      bool stall = false;
-      Cycle mem_latency = translate_data(di, stall);
-      if (stall) {
-        ++stats_.shadow_stall_cycles;
-        return false;
-      }
+      const std::optional<Cycle> translation = translate_data(di);
+      if (!translation) return false;  // shadow dTLB full: retry
       if (di.fault == Fault::kUnmapped) {
         di.result = 0;
         latency = config_.hierarchy.memory_latency;
         break;
       }
-      mem_latency += access_dcache(di, stall);
-      if (stall) {
-        // The cache access could not take a shadow entry (kStall): undo
-        // nothing (translate_data's shadow-TLB ref stays; retry reuses it
-        // via the acquire path) and retry next cycle.
+      const Lookup got =
+          lookup_line(Side::kData, di.physical_addr, di.shadow_dline);
+      // Forward-progress guarantee for kStall: if this instruction's own
+      // page-walker lines are (part of) what fills the table, stalling
+      // would deadlock — it waits on entries only its own commit releases.
+      // Degrade to drop in that case: the load still gets its value, but
+      // nothing will be promoted at commit (§V).
+      if (got.source == Source::kFull && di.walker_refs.empty()) {
         ++stats_.shadow_stall_cycles;
-        return false;
+        return false;  // retry next cycle; the translation is kept
       }
       // P1: the speculative load observes the real data even when the
       // permission check failed — the check only bites at commit.
       di.result = mem_->read64(di.physical_addr);
-      latency = mem_latency;
-      LOG_DEBUG("load pc=0x" << std::hex << di.pc << std::dec << " issue@"
-                             << cycle_ << " lat=" << latency << " addr=0x"
-                             << std::hex << di.effective_addr);
+      latency = *translation + got.latency;
       break;
     }
-    case OpClass::kStore: {
-      di.effective_addr =
-          di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
-      bool stall = false;
-      const Cycle translation = translate_data(di, stall);
-      if (stall) {
-        ++stats_.shadow_stall_cycles;
-        return false;
-      }
-      latency = config_.alu_latency + translation;
-      break;
-    }
+    case OpClass::kStore:
     case OpClass::kFlush: {
       di.effective_addr =
           di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
-      bool stall = false;
-      const Cycle translation = translate_data(di, stall);
-      if (stall) {
-        ++stats_.shadow_stall_cycles;
-        return false;
-      }
-      latency = config_.alu_latency + translation;
+      const std::optional<Cycle> translation = translate_data(di);
+      if (!translation) return false;
+      latency += *translation;
       break;
     }
   }
@@ -730,67 +642,121 @@ bool Core::execute(DynInst& di) {
   return true;
 }
 
-Cycle Core::translate_data(DynInst& di, bool& stall) {
+std::optional<Cycle> Core::translate_data(DynInst& di) {
   if (di.translated || di.fault != Fault::kNone) return 0;  // retry path
-  const Addr vpage = page_of(di.effective_addr);
-
-  memory::TlbEntry entry;
-  bool have_translation = false;
-  Cycle latency = 0;
-
-  if (const auto hit = dtlb_.access(vpage); hit.has_value()) {
-    entry = *hit;
-    have_translation = true;
-  } else if (protection_on()) {
-    if (const auto id = shadow_dtlb_.acquire_existing(vpage);
-        id != shadow::ShadowTlb::kNone) {
-      const auto& payload = shadow_dtlb_.payload_of(id);
-      entry = {vpage, payload.ppage, payload.kernel_only};
-      have_translation = true;
-      latency += 1;  // shadow TLB lookup
-      if (di.shadow_dtlb == DynInst::kNoShadow) {
-        di.shadow_dtlb = id;
-      } else {
-        shadow_dtlb_.release(id);  // already hold a ref from a prior retry
-      }
-    }
+  const Lookup got = translate(Side::kData, page_of(di.effective_addr),
+                               di.shadow_dtlb, &di);
+  if (got.source == Source::kFull) {
+    ++stats_.shadow_stall_cycles;
+    return std::nullopt;
   }
-
-  if (!have_translation) {
-    latency += walk_page_table(&di, vpage);
-    const auto xlat = page_table_->translate(vpage);
-    if (!xlat.present) {
-      di.fault = Fault::kUnmapped;
-      return latency;
-    }
-    entry = {vpage, xlat.ppage, xlat.kernel_only};
-    if (protection_on()) {
-      const auto id = shadow_dtlb_.insert(vpage, {xlat.ppage,
-                                                  xlat.kernel_only});
-      if (id == shadow::ShadowTlb::kNone &&
-          shadow_dtlb_.config().full_policy == FullPolicy::kStall) {
-        stall = true;
-        return latency;
-      }
-      di.shadow_dtlb = id;  // kNone under kDrop: translation simply unshadowed
-    } else {
-      dtlb_.fill(entry);
-    }
+  if (got.source == Source::kUnmapped) {
+    di.fault = Fault::kUnmapped;
+    return got.latency;
   }
-
-  di.physical_addr = (entry.ppage << kPageShift) + page_offset(di.effective_addr);
+  di.physical_addr =
+      (got.entry.ppage << kPageShift) + page_offset(di.effective_addr);
   di.translated = true;
   // Deferred permission check (P1): record the fault, keep executing.
-  if (entry.kernel_only && priv_ == memory::PrivLevel::kUser) {
+  if (got.entry.kernel_only && priv_ == memory::PrivLevel::kUser) {
     di.fault = Fault::kPermission;
   }
-  return latency;
+  return got.latency;
+}
+
+Core::Lookup Core::translate(Side side, Addr vpage, int& ref,
+                             DynInst* walker) {
+  memory::Tlb& tlb = side == Side::kInstr ? itlb_ : dtlb_;
+  if (const auto hit = tlb.access(vpage); hit.has_value()) {
+    return {Source::kPrimary, 0, *hit};
+  }
+  shadow::ShadowTlb& table = side == Side::kInstr ? shadow_itlb_ : shadow_dtlb_;
+  int id = shadow::ShadowTlb::kNone;
+  if (protection_on()) {
+    const bool held = ref != DynInst::kNoShadow && table.key(ref) == vpage;
+    id = held ? ref : table.acquire_existing(vpage);
+  }
+  Lookup got;
+  if (id != shadow::ShadowTlb::kNone) {
+    const auto& payload = table.payload_of(id);
+    // A shadow-TLB hit costs one lookup cycle.
+    got = {Source::kShadow, 1, {vpage, payload.ppage, payload.kernel_only}};
+  } else {
+    const Cycle walk = walk_page_table(walker, vpage);
+    const auto xlat = page_table_->translate(vpage);
+    if (!xlat.present) return {Source::kUnmapped, walk, {}};
+    got = {Source::kBelow, walk, {vpage, xlat.ppage, xlat.kernel_only}};
+    if (!protection_on()) {
+      tlb.fill(got.entry);
+      return got;
+    }
+    id = table.insert(vpage, {xlat.ppage, xlat.kernel_only});
+    if (id == shadow::ShadowTlb::kNone &&
+        table.config().full_policy == FullPolicy::kStall) {
+      got.source = Source::kFull;
+      return got;
+    }
+  }
+  if (id != ref) {
+    if (ref != DynInst::kNoShadow) table.release(ref);
+    ref = id;  // kNone under kDrop: the translation goes unshadowed
+  }
+  return got;
+}
+
+Core::Lookup Core::lookup_line(Side side, Addr paddr, int& ref) {
+  if (!protection_on()) {
+    const auto out =
+        hierarchy_.timed_access(paddr, side, CacheHierarchy::Fill::kYes);
+    return {out.l1_hit() ? Source::kPrimary : Source::kBelow, out.latency, {}};
+  }
+  // Primary-first lookup order, as in the design: the L1 is checked, then
+  // the shadow structure, then the lower levels — with no fills and no
+  // replacement-state updates anywhere on this speculative path.
+  const Addr line = line_of(paddr);
+  shadow::ShadowCache& table =
+      side == Side::kInstr ? shadow_icache_ : shadow_dcache_;
+  if (ref != DynInst::kNoShadow && table.key(ref) == line) {
+    return {Source::kShadow, config_.shadow_hit_latency, {}};  // held already
+  }
+  memory::Cache& l1 =
+      side == Side::kInstr ? hierarchy_.l1i() : hierarchy_.l1d();
+  if (l1.access(line, /*update_replacement=*/false)) {
+    return {Source::kPrimary, l1.config().hit_latency, {}};
+  }
+  Lookup got{Source::kShadow, config_.shadow_hit_latency, {}};
+  int id = table.acquire_existing(line);
+  if (id == shadow::ShadowCache::kNone) {
+    got.source = Source::kBelow;
+    got.latency = hierarchy_.shared()
+                      .access_below_l1(line, /*touch=*/false, /*fill=*/false,
+                                       /*count_stats=*/true, core_id_)
+                      .latency;
+    id = table.insert(line, {});
+    if (id == shadow::ShadowCache::kNone &&
+        table.config().full_policy == FullPolicy::kStall) {
+      got.source = Source::kFull;
+      return got;
+    }
+  }
+  if (ref != DynInst::kNoShadow) table.release(ref);
+  ref = id;  // kNone under kDrop: the update is lost (§V)
+  return got;
 }
 
 Cycle Core::walk_page_table(DynInst* di, Addr vpage) {
   Cycle latency = 0;
   Addr walk_lines[memory::PageTable::kWalkLevels];
   page_table_->walk_addresses(vpage, walk_lines);
+  // An instruction's walk holds its lines until the instruction settles;
+  // a fetch walk (no instruction yet) lets them go at once.
+  const auto hold = [&](int id) {
+    if (di != nullptr) {
+      di->walker_refs.push_back(id);
+    } else {
+      shadow_dcache_.release(id);
+    }
+  };
   for (const Addr entry_addr : walk_lines) {
     if (!protection_on()) {
       latency += hierarchy_
@@ -806,11 +772,7 @@ Cycle Core::walk_page_table(DynInst* di, Addr vpage) {
     if (const auto id = shadow_dcache_.acquire_existing(line, false);
         id != shadow::ShadowCache::kNone) {
       latency += config_.shadow_hit_latency;
-      if (di != nullptr) {
-        di->walker_refs.push_back(id);
-      } else {
-        shadow_dcache_.release(id);
-      }
+      hold(id);
       continue;
     }
     const auto outcome = hierarchy_.timed_access(
@@ -819,65 +781,9 @@ Cycle Core::walk_page_table(DynInst* di, Addr vpage) {
     latency += outcome.latency;
     if (outcome.level != memory::HitLevel::kL1) {
       const auto id = shadow_dcache_.insert(line, {});
-      if (id != shadow::ShadowCache::kNone) {
-        if (di != nullptr) {
-          di->walker_refs.push_back(id);
-        } else {
-          shadow_dcache_.release(id);
-        }
-      }
+      if (id != shadow::ShadowCache::kNone) hold(id);
     }
   }
-  return latency;
-}
-
-Cycle Core::access_dcache(DynInst& di, bool& stall) {
-  const Addr paddr = di.physical_addr;
-  if (!protection_on()) {
-    return hierarchy_
-        .timed_access(paddr, Side::kData, CacheHierarchy::Fill::kYes)
-        .latency;
-  }
-  const Addr line = line_of(paddr);
-  if (di.shadow_dline != DynInst::kNoShadow) {
-    // Retry after a stall elsewhere: we already hold the line.
-    return config_.shadow_hit_latency;
-  }
-  // Primary-first lookup order, as in the design: the L1 is checked, then
-  // the shadow structure, then the lower levels — with no fills and no
-  // replacement-state updates anywhere on this speculative path.
-  if (hierarchy_.l1d().access(line, /*update_replacement=*/false)) {
-    return hierarchy_.l1d().config().hit_latency;
-  }
-  if (const auto id = shadow_dcache_.acquire_existing(line);
-      id != shadow::ShadowCache::kNone) {
-    di.shadow_dline = id;
-    return config_.shadow_hit_latency;
-  }
-  Cycle latency;
-  if (hierarchy_.l2().access(line, false)) {
-    latency = hierarchy_.l2().config().hit_latency;
-  } else if (hierarchy_.l3().access(line, false)) {
-    latency = hierarchy_.l3().config().hit_latency;
-  } else {
-    latency = config_.hierarchy.memory_latency;
-  }
-  const auto id = shadow_dcache_.insert(line, {});
-  if (id == shadow::ShadowCache::kNone) {
-    // Forward-progress guarantee for kStall: if this instruction's own
-    // page-walker lines are (part of) what fills the table, stalling
-    // would deadlock — it waits on entries only its own commit releases.
-    // Degrade to drop in that case.
-    if (shadow_dcache_.config().full_policy == FullPolicy::kStall &&
-        di.walker_refs.empty()) {
-      stall = true;
-      return 0;
-    }
-    // kDrop: the update to the committed state is lost (§V) — the load
-    // still gets its value, but nothing will be promoted at commit.
-    return latency;
-  }
-  di.shadow_dline = id;
   return latency;
 }
 
@@ -1046,56 +952,26 @@ void Core::stage_fetch() {
     }
 
     // ---- iTLB ----------------------------------------------------------
-    const Addr vpage = page_of(fetch_pc_);
-    Addr ppage = vpage;
-    bool have_xlat = false;
-    if (const auto hit = itlb_.access(vpage); hit.has_value()) {
-      ppage = hit->ppage;
-      have_xlat = true;
-    } else if (protection_on()) {
-      if (pending_itlb_ != DynInst::kNoShadow &&
-          shadow_itlb_.key(pending_itlb_) == vpage) {
-        // Resuming after the walk that created this entry.
-        ppage = shadow_itlb_.payload_of(pending_itlb_).ppage;
-        have_xlat = true;
-      } else if (const auto id = shadow_itlb_.acquire_existing(vpage);
-                 id != shadow::ShadowTlb::kNone) {
-        ppage = shadow_itlb_.payload_of(id).ppage;
-        have_xlat = true;
-        if (pending_itlb_ != DynInst::kNoShadow) {
-          shadow_itlb_.release(pending_itlb_);
-        }
-        pending_itlb_ = id;
-      }
+    // An i-side page walk is charged as a fetch bubble; fetch resumes
+    // after it and finds the translation in the iTLB or the held ref.
+    const Lookup xlat =
+        translate(Side::kInstr, page_of(fetch_pc_), pending_itlb_, nullptr);
+    if (xlat.source == Source::kUnmapped) {
+      fetch_stalled_ = true;
+      break;
     }
-    if (!have_xlat) {
-      // i-side page walk. Walker lines use non-filling accesses (see
-      // header note); timing is charged as a fetch bubble.
-      const Cycle walk = walk_page_table(nullptr, vpage);
-      const auto xlat = page_table_->translate(vpage);
-      if (!xlat.present) {
-        fetch_stalled_ = true;
-        break;
-      }
-      ppage = xlat.ppage;
-      if (protection_on()) {
-        const auto id = shadow_itlb_.insert(vpage, {xlat.ppage,
-                                                    xlat.kernel_only});
-        if (id == shadow::ShadowTlb::kNone &&
-            shadow_itlb_.config().full_policy == FullPolicy::kStall) {
-          fetch_busy_until_ = cycle_ + 1;  // retry next cycle
-          break;
-        }
-        pending_itlb_ = id;
-      } else {
-        itlb_.fill({vpage, xlat.ppage, xlat.kernel_only});
-      }
-      fetch_busy_until_ = cycle_ + std::max<Cycle>(1, walk);
-      break;  // resume after the walk
+    if (xlat.source == Source::kFull) {
+      fetch_busy_until_ = cycle_ + 1;  // retry next cycle
+      break;
+    }
+    if (xlat.source == Source::kBelow) {
+      fetch_busy_until_ = cycle_ + std::max<Cycle>(1, xlat.latency);
+      break;
     }
 
     // ---- i-cache ---------------------------------------------------------
-    const Addr fetch_paddr = (ppage << kPageShift) + page_offset(fetch_pc_);
+    const Addr fetch_paddr =
+        (xlat.entry.ppage << kPageShift) + page_offset(fetch_pc_);
     const Addr line = line_of(fetch_paddr);
     // Per-instruction accounting (Figs 14/15): every fetched instruction
     // is served by exactly one of L1I, the shadow i-cache, or a lower
@@ -1105,59 +981,25 @@ void Core::stage_fetch() {
     ++stats_.fetch_accesses;
     if (line != last_line_touched) {
       last_line_touched = line;
-      if (!protection_on()) {
-        const auto outcome = hierarchy_.timed_access(
-            fetch_paddr, Side::kInstr, CacheHierarchy::Fill::kYes);
-        if (outcome.level != memory::HitLevel::kL1) {
-          ++stats_.fetch_misses;
-          fetch_busy_until_ = cycle_ + outcome.latency;
-          break;  // line now resident; resume after the miss
-        }
-        ++stats_.fetch_l1i_hits;
-      } else if (pending_iline_ != DynInst::kNoShadow &&
-                 shadow_icache_.key(pending_iline_) == line) {
-        // Resuming after the miss that inserted this line: already held.
-        ++stats_.fetch_shadow_hits;
-      } else if (hierarchy_.l1i().access(line, /*update_replacement=*/false)) {
-        ++stats_.fetch_l1i_hits;
-      } else {
-        if (const auto id = shadow_icache_.acquire_existing(line);
-            id != shadow::ShadowCache::kNone) {
-          if (pending_iline_ != DynInst::kNoShadow) {
-            shadow_icache_.release(pending_iline_);
-          }
-          pending_iline_ = id;  // shadow hit: no bubble (lookup-table read)
-          ++stats_.fetch_shadow_hits;
-        } else {
-          Cycle latency;
-          if (hierarchy_.l2().access(line, false)) {
-            latency = hierarchy_.l2().config().hit_latency;
-          } else if (hierarchy_.l3().access(line, false)) {
-            latency = hierarchy_.l3().config().hit_latency;
-          } else {
-            latency = config_.hierarchy.memory_latency;
-          }
-          const auto id2 = shadow_icache_.insert(line, {});
-          if (id2 == shadow::ShadowCache::kNone &&
-              shadow_icache_.config().full_policy == FullPolicy::kStall) {
-            --stats_.fetch_accesses;  // retried next cycle
-            fetch_busy_until_ = cycle_ + 1;
-            break;
-          }
-          ++stats_.fetch_misses;
-          pending_iline_ = id2;
-          fetch_busy_until_ = cycle_ + latency;
-          break;  // resume once the line is in the shadow i-cache
-        }
+      const Lookup got = lookup_line(Side::kInstr, fetch_paddr, pending_iline_);
+      if (got.source == Source::kFull) {
+        --stats_.fetch_accesses;  // retried next cycle
+        fetch_busy_until_ = cycle_ + 1;
+        break;
       }
+      if (got.source == Source::kBelow) {
+        ++stats_.fetch_misses;
+        fetch_busy_until_ = cycle_ + got.latency;
+        break;  // resume once the line is in the L1I or the held ref
+      }
+      // A shadow hit costs no bubble (a lookup-table read).
+      ++(got.source == Source::kShadow ? stats_.fetch_shadow_hits
+                                       : stats_.fetch_l1i_hits);
     } else {
-      // Subsequent instruction from the same fetch line.
-      if (protection_on() && pending_iline_ != DynInst::kNoShadow &&
-          shadow_icache_.key(pending_iline_) == line) {
-        shadow_icache_.stats().hits.add();
-        ++stats_.fetch_shadow_hits;
-      } else if (protection_on() && pending_iline_ == DynInst::kNoShadow &&
-                 shadow_icache_.contains(line)) {
+      // Subsequent instruction from the same fetch line; the previous one
+      // took any pending i-line ref with it.
+      assert(pending_iline_ == DynInst::kNoShadow);
+      if (protection_on() && shadow_icache_.contains(line)) {
         pending_iline_ = shadow_icache_.acquire_existing(line);  // counts hit
         ++stats_.fetch_shadow_hits;
       } else {
@@ -1207,17 +1049,8 @@ void Core::stage_fetch() {
 
 void Core::restart_at(Addr pc) {
   for (DynInst& di : rob_) release_shadow(di);
-  for (FetchedInst& fi : fetch_queue_) {
-    if (fi.shadow_iline != DynInst::kNoShadow) {
-      shadow_icache_.release(fi.shadow_iline);
-    }
-    if (fi.shadow_itlb != DynInst::kNoShadow) {
-      shadow_itlb_.release(fi.shadow_itlb);
-    }
-  }
   rob_.clear();
-  fetch_queue_.clear();
-  release_pending_fetch_refs();
+  redirect_fetch(pc);
   unresolved_branches_.clear();
   completions_.clear();
   ready_.clear();
@@ -1228,9 +1061,6 @@ void Core::restart_at(Addr pc) {
   loads_in_flight_ = 0;
   stores_.clear();
   fence_active_ = false;
-  fetch_stalled_ = false;
-  fetch_busy_until_ = cycle_ + 1;
-  fetch_pc_ = pc;
   halted_ = false;
 }
 

@@ -14,6 +14,13 @@
 //                (WFB) or commits (WFC). Squashes annul shadow state in
 //                place (§III, Fig 3).
 //
+// All four shadow structures follow one lifecycle, written once. Loads
+// and fetch share one line lookup (lookup_line), and loads, stores,
+// flushes and fetch one translation sequence (translate): each tries the
+// primary structure, then the shadow, then the level below, which fills
+// the shadow. One walk over an instruction's shadow refs (settle_shadow)
+// promotes them at commit or WFB resolution, or releases them on a squash.
+//
 // Timing-model simplifications:
 //   * Memory side effects apply at issue time; there are therefore no
 //     delayed responses needing the §III "filter" — squash of an issued
@@ -190,12 +197,11 @@ struct CoreStats {
 /// manipulate directly, playing the role of the OS / other processes).
 class Core {
  public:
-  /// `shared_levels == nullptr` gives the core a private L2/L3 (the
-  /// historical single-core shape); otherwise its hierarchy attaches to
-  /// the external shared levels and stamps requests with `core_id`.
+  /// The core's hierarchy attaches to the machine's `shared_levels` and
+  /// stamps its L2/L3 requests with `core_id`.
   Core(const CoreConfig& config, const isa::Program* program,
        memory::MainMemory* mem, memory::PageTable* page_table,
-       memory::SharedLevels* shared_levels = nullptr, int core_id = 0);
+       memory::SharedLevels& shared_levels, int core_id);
 
   /// Single-steps one cycle: the exact one-cycle reference. Tests drive
   /// it directly; sim::Simulator::run drives it between quiet jumps.
@@ -345,10 +351,29 @@ class Core {
   /// cycle (memory ordering or shadow-stall) and must retry.
   bool execute(DynInst& di);
 
-  /// Load/store address translation through dTLB (+walk). Returns the
-  /// added latency; sets di.physical_addr / di.fault / shadow_dtlb.
-  /// `stall` is set when the shadow dTLB is full under kStall.
-  Cycle translate_data(DynInst& di, bool& stall);
+  /// What served a line lookup or a translation.
+  enum class Source : std::uint8_t {
+    kPrimary,   ///< the L1, or the TLB
+    kShadow,    ///< a held ref, or a shadow-table hit
+    kBelow,     ///< below the L1, or a page walk
+    kFull,      ///< as kBelow, but a kStall shadow table was full
+    kUnmapped,  ///< the page walk found no mapping
+  };
+  struct Lookup {
+    Source source = Source::kPrimary;
+    Cycle latency = 0;
+    memory::TlbEntry entry;  ///< translations only
+  };
+  /// The line lookup of loads and fetch, and the translation sequence of
+  /// loads, stores, flushes and fetch (a page walk's line refs go to
+  /// `walker`; fetch has none). `ref` is the shadow entry the access
+  /// holds; a kFull result leaves it as it was.
+  Lookup lookup_line(memory::Side side, Addr paddr, int& ref);
+  Lookup translate(memory::Side side, Addr vpage, int& ref, DynInst* walker);
+
+  /// Load/store/flush address translation. Returns the added latency, or
+  /// nullopt after a shadow stall; sets di.physical_addr / di.fault.
+  std::optional<Cycle> translate_data(DynInst& di);
 
   /// Page-walk timing: kWalkLevels accesses through the d-side hierarchy.
   /// Speculative walks under SafeSpec use non-filling accesses whose
@@ -356,23 +381,25 @@ class Core {
   /// conservatively freed on squash via the walker ref held by `di`.
   Cycle walk_page_table(DynInst* di, Addr vpage);
 
-  /// The d-side cache access for an issued load. Returns latency.
-  /// `stall` set when the shadow d-cache is full under kStall.
-  Cycle access_dcache(DynInst& di, bool& stall);
-
   /// Promotes every shadow entry the instruction references into the
-  /// primary structures (commit or WFB-resolution path).
+  /// primary structures (commit or WFB-resolution path); once only.
   void promote_shadow(DynInst& di);
-  /// Releases shadow references without promotion (squash path).
+  /// Squash path: annuls the instruction's shadow entries, as the policy
+  /// and the mutation hooks decide.
   void release_shadow(DynInst& di);
+  /// Visits every ref `di` holds in promotion order — d-line, walker
+  /// lines, i-line, dTLB, iTLB — and promotes or releases each.
+  void settle_shadow(DynInst& di, bool promote);
 
   /// DIB-accelerated program_->at(): identical results, one map walk
   /// per 64-byte line instead of per instruction.
   const isa::Instruction* fetch_decode(Addr pc);
 
   void resolve_branch(DynInst& di);
-  void release_pending_fetch_refs();
   void squash_younger_than(SeqNum seq, Addr redirect_pc);
+  /// Empties the fetch queue and abandons any fetch in progress,
+  /// releasing their shadow refs, and restarts fetch at `pc`.
+  void redirect_fetch(Addr pc);
   void rebuild_rename_map();
   void raise_fault(DynInst& head);
   void commit_one(DynInst& head);
@@ -482,8 +509,8 @@ class Core {
   Cycle fetch_busy_until_ = 0;      ///< i-cache/iTLB miss in progress
   /// Shadow references acquired by an in-progress fetch (miss pending);
   /// handed to the next FetchedInst, or released on squash/restart.
-  int pending_iline_ = -1;
-  int pending_itlb_ = -1;
+  int pending_iline_ = DynInst::kNoShadow;
+  int pending_itlb_ = DynInst::kNoShadow;
   int loads_in_flight_ = 0;         ///< LDQ occupancy
   bool fence_active_ = false;       ///< a kFence is in the ROB
   bool halted_ = false;

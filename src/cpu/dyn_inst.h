@@ -69,7 +69,8 @@ struct DynInst {
   bool mispredicted = false;
 
   // ---- SafeSpec shadow pointers (§IV-A) --------------------------------
-  static constexpr int kNoShadow = -1;
+  // Each names a ShadowTable entry, so a failed lookup's kNone is "none".
+  static constexpr int kNoShadow = shadow::ShadowCache::kNone;
   int shadow_dline = kNoShadow;   ///< shadow d-cache entry (loads)
   int shadow_iline = kNoShadow;   ///< shadow i-cache entry (fetch)
   int shadow_dtlb = kNoShadow;    ///< shadow dTLB entry
@@ -99,7 +100,6 @@ struct DynInst {
       overflow.clear();
     }
     bool empty() const { return inline_count == 0; }
-    std::size_t size() const { return inline_count + overflow.size(); }
     /// Calls fn(id) for every held ref, in acquisition order.
     template <typename Fn>
     void for_each(Fn&& fn) const {
@@ -109,6 +109,12 @@ struct DynInst {
   };
   WalkerRefs walker_refs;
   bool shadow_promoted = false;   ///< WFB: promotion already performed
+
+  /// Forgets every shadow ref, once each was promoted or released.
+  void drop_shadow_refs() {
+    shadow_dline = shadow_iline = shadow_dtlb = shadow_itlb = kNoShadow;
+    walker_refs.clear();
+  }
 
   // ---- scheduler bookkeeping (wakeup lists) ----------------------------
   /// Seqs of consumers that bound an operand to this instruction while it

@@ -28,10 +28,10 @@ bool Cache::access(Addr line, bool update_replacement, bool count_stats) {
   const std::size_t slot = store_.find(line);
   if (slot != SetAssoc::kNone) {
     if (update_replacement) store_.touch(slot, ++tick_);
-    if (count_stats) ++pending_hits_;
+    if (count_stats) stats_.hits.add();
     return true;
   }
-  if (count_stats) ++pending_misses_;
+  if (count_stats) stats_.misses.add();
   return false;
 }
 

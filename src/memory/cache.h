@@ -82,14 +82,8 @@ class Cache {
   void flush_all();
 
   const CacheConfig& config() const { return config_; }
-  HitMiss& stats() {
-    flush_stats();
-    return stats_;
-  }
-  const HitMiss& stats() const {
-    flush_stats();
-    return stats_;
-  }
+  HitMiss& stats() { return stats_; }
+  const HitMiss& stats() const { return stats_; }
 
   /// Number of valid lines currently resident (tests / occupancy checks).
   std::size_t occupancy() const;
@@ -125,30 +119,13 @@ class Cache {
   /// epoch's alarm count reaches the threshold (counted once per epoch).
   void record_alarm();
 
-  /// Folds the batched access tallies into the named counters. Like the
-  /// occupancy histogram's run-length batching, the pending counts are an
-  /// encoding detail every reader flushes first — the observable
-  /// statistics are bit-identical to per-access Counter bumps.
-  void flush_stats() const {
-    if (pending_hits_ != 0) {
-      stats_.hits.add(pending_hits_);
-      pending_hits_ = 0;
-    }
-    if (pending_misses_ != 0) {
-      stats_.misses.add(pending_misses_);
-      pending_misses_ = 0;
-    }
-  }
-
   CacheConfig config_;
   SetAssoc store_;
   /// Replacement stamp clock: advanced only when a stamp is written
   /// (touch/fill). LRU/FIFO compare stamp order, not values, so skipping
   /// the bump on non-stamping accesses changes no eviction decision.
   std::uint64_t tick_ = 0;
-  mutable HitMiss stats_;
-  mutable std::uint64_t pending_hits_ = 0;
-  mutable std::uint64_t pending_misses_ = 0;
+  HitMiss stats_;
   std::uint64_t cross_owner_evictions_ = 0;
   std::uint64_t sharp_alarms_ = 0;
   std::uint64_t sharp_detections_ = 0;

@@ -55,22 +55,14 @@ void SharedLevels::flush_line(Addr line) {
   l3_.invalidate(line);
 }
 
-void SharedLevels::flush_all() {
-  l2_.flush_all();
-  l3_.flush_all();
-}
-
 // ---- CacheHierarchy --------------------------------------------------------
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig& config,
-                               SharedLevels* shared, int owner)
+                               SharedLevels& shared, int owner)
     : config_(config),
       l1i_(config.l1i),
       l1d_(config.l1d),
-      owned_shared_(shared == nullptr
-                        ? std::make_unique<SharedLevels>(config)
-                        : nullptr),
-      shared_(shared == nullptr ? owned_shared_.get() : shared),
+      shared_(&shared),
       owner_(owner) {
   shared_->attach(this);
 }
@@ -103,12 +95,6 @@ void CacheHierarchy::flush_line(Addr line) {
   // flush_line at the shared levels already back-invalidates every
   // attached core's L1s, including ours.
   shared_->flush_line(line);
-}
-
-void CacheHierarchy::flush_all() {
-  l1i_.flush_all();
-  l1d_.flush_all();
-  shared_->flush_all();
 }
 
 bool CacheHierarchy::resident_l1(Addr line, Side side) const {

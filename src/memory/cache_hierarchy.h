@@ -14,13 +14,10 @@
 // attach to. Every shared-level fill records the owning core id in the
 // level's SetAssoc ways, and an inclusive eviction at L2/L3
 // back-invalidates the L1s of *every* attached core — which is exactly
-// the remote-eviction channel the cross-core attacks probe. A hierarchy
-// constructed without an external SharedLevels owns a private one
-// (single-core: bit-identical to the historical monolithic hierarchy).
+// the remote-eviction channel the cross-core attacks probe.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -59,8 +56,7 @@ struct AccessOutcome {
 /// The shared portion of the hierarchy: the L2 and L3 tag arrays plus the
 /// memory latency, with a registry of attached per-core hierarchies so
 /// inclusive evictions back-invalidate every core's L1s. One instance per
-/// machine; each core's CacheHierarchy either borrows it or (single-core
-/// construction) owns a private one.
+/// machine, which every core's CacheHierarchy borrows.
 class SharedLevels {
  public:
   explicit SharedLevels(const HierarchyConfig& config);
@@ -94,9 +90,6 @@ class SharedLevels {
   /// clflush at the shared levels: removes the line from L2, L3 and every
   /// attached core's L1s (coherence-global, as on real hardware).
   void flush_line(Addr line);
-
-  /// Empties L2 and L3 only (attached L1s are flushed by their owners).
-  void flush_all();
 
   Cache& l2() { return l2_; }
   Cache& l3() { return l3_; }
@@ -136,16 +129,14 @@ class SharedLevels {
 };
 
 /// One core's view of the hierarchy: owns the two L1 tag arrays, borrows
-/// (or privately owns) the shared L2/L3, and implements lookup / fill /
-/// invalidate across them with inclusive semantics.
+/// the shared L2/L3, and implements lookup / fill / invalidate across
+/// them with inclusive semantics.
 class CacheHierarchy {
  public:
-  /// With `shared == nullptr` the hierarchy owns a private SharedLevels —
-  /// the historical single-core shape. Otherwise it attaches to `shared`
-  /// (which must outlive it) and stamps every L2/L3 request with
-  /// `owner` (its core id).
-  explicit CacheHierarchy(const HierarchyConfig& config,
-                          SharedLevels* shared = nullptr, int owner = 0);
+  /// Attaches to `shared` (which must outlive it) and stamps every L2/L3
+  /// request with `owner` (its core id).
+  CacheHierarchy(const HierarchyConfig& config, SharedLevels& shared,
+                 int owner);
   ~CacheHierarchy();
 
   // The SharedLevels attach registry holds `this`.
@@ -172,10 +163,6 @@ class CacheHierarchy {
   /// levels, from every other attached core's L1s).
   void flush_line(Addr line);
 
-  /// Empties this core's L1s and the shared L2/L3 (between attack
-  /// trials). Other attached cores' L1s are left alone.
-  void flush_all();
-
   /// True when the line is resident in the L1 of `side` (tests and the
   /// timing-free assertions in the attack harness).
   bool resident_l1(Addr line, Side side) const;
@@ -184,12 +171,8 @@ class CacheHierarchy {
 
   Cache& l1i() { return l1i_; }
   Cache& l1d() { return l1d_; }
-  Cache& l2() { return shared_->l2(); }
-  Cache& l3() { return shared_->l3(); }
   const Cache& l1i() const { return l1i_; }
   const Cache& l1d() const { return l1d_; }
-  const Cache& l2() const { return shared_->l2(); }
-  const Cache& l3() const { return shared_->l3(); }
 
   SharedLevels& shared() { return *shared_; }
   const SharedLevels& shared() const { return *shared_; }
@@ -207,8 +190,7 @@ class CacheHierarchy {
   HierarchyConfig config_;
   Cache l1i_;
   Cache l1d_;
-  std::unique_ptr<SharedLevels> owned_shared_;  ///< single-core shape only
-  SharedLevels* shared_;  ///< owned_shared_.get() or the external object
+  SharedLevels* shared_;
   int owner_;
 };
 

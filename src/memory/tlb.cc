@@ -24,10 +24,10 @@ std::optional<TlbEntry> Tlb::access(Addr vpage) {
   const std::size_t slot = store_.find(vpage);
   if (slot != SetAssoc::kNone) {
     store_.touch(slot, ++tick_);
-    ++pending_hits_;
+    stats_.hits.add();
     return entries_[slot];
   }
-  ++pending_misses_;
+  stats_.misses.add();
   return std::nullopt;
 }
 

@@ -51,38 +51,16 @@ class Tlb {
 
   std::size_t occupancy() const;
   const TlbConfig& config() const { return config_; }
-  HitMiss& stats() {
-    flush_stats();
-    return stats_;
-  }
-  const HitMiss& stats() const {
-    flush_stats();
-    return stats_;
-  }
+  HitMiss& stats() { return stats_; }
+  const HitMiss& stats() const { return stats_; }
 
  private:
-  /// Folds batched access tallies into the named counters (see
-  /// Cache::flush_stats — same contract: readers flush, observable
-  /// statistics are bit-identical to per-access bumps).
-  void flush_stats() const {
-    if (pending_hits_ != 0) {
-      stats_.hits.add(pending_hits_);
-      pending_hits_ = 0;
-    }
-    if (pending_misses_ != 0) {
-      stats_.misses.add(pending_misses_);
-      pending_misses_ = 0;
-    }
-  }
-
   TlbConfig config_;
   SetAssoc store_;  ///< tags are vpages
   std::vector<TlbEntry> entries_;  ///< per slot; valid where tagged
   /// Stamp clock, advanced only at stamp-writing events (see Cache).
   std::uint64_t tick_ = 0;
-  mutable HitMiss stats_;
-  mutable std::uint64_t pending_hits_ = 0;
-  mutable std::uint64_t pending_misses_ = 0;
+  HitMiss stats_;
 };
 
 }  // namespace safespec::memory

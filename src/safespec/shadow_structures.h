@@ -161,7 +161,6 @@ class ShadowTable {
 
   Addr key(EntryId id) const { return entry(id).key; }
   const Payload& payload_of(EntryId id) const { return entry(id).payload; }
-  bool is_promoted(EntryId id) const { return entry(id).promoted; }
 
   int live_count() const { return live_count_; }
   int capacity() const { return config_.entries; }

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.h"
 #include "sim/functional.h"
 
 namespace safespec::sim {
@@ -58,7 +57,7 @@ void Simulator::build_cores(const cpu::CoreConfig& config,
     auto ctx = std::make_unique<CoreContext>(std::move(programs[c]));
     ctx->core = std::make_unique<cpu::Core>(
         config, &ctx->program, &ctx->mem, &ctx->page_table,
-        shared_levels_.get(), static_cast<int>(c));
+        *shared_levels_, static_cast<int>(c));
     ctx_.push_back(std::move(ctx));
   }
 }
@@ -135,11 +134,8 @@ cpu::StopReason Simulator::run_cores(Cycle max_cycles,
     cpu::Core* core = ctx->core.get();
     sched.push_back({core, core->finished(), core->stats().committed_instrs});
   }
-  const auto check_wedge = [](Sched& s, Cycle t, std::size_t i) {
-    if (t - s.last_progress <= kWedgeCycles) return;
-    s.done = true;
-    LOG_WARN("core " << i << " wedged at pc=0x" << std::hex
-                     << s.core->next_commit_pc());
+  const auto check_wedge = [](Sched& s, Cycle t) {
+    if (t - s.last_progress > kWedgeCycles) s.done = true;
   };
 
   // One schedule cycle steps every live core whose quiet window has
@@ -173,7 +169,7 @@ cpu::StopReason Simulator::run_cores(Cycle max_cycles,
       for (std::size_t i = 0; i < sched.size(); ++i) {
         if (sched[i].done) continue;
         sched[i].core->skip_quiet(n);
-        check_wedge(sched[i], t, i);
+        check_wedge(sched[i], t);
       }
       continue;
     }
@@ -191,7 +187,7 @@ cpu::StopReason Simulator::run_cores(Cycle max_cycles,
         s.last_committed = committed;
         s.last_progress = t + 1;
       } else {
-        check_wedge(s, t + 1, i);
+        check_wedge(s, t + 1);
       }
       if (s.core->finished()) s.done = true;
     }

@@ -3,6 +3,7 @@
 // corner cases that the end-to-end attack tests exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -599,6 +600,49 @@ TEST(StoreQueue, FullStoreQueueStallsDispatchAndDrainsInOrder) {
     const Cycle table1 = run_checking_order(
         policy, sim::machine_preset("skylake").core.stq_entries);
     EXPECT_GT(full_stq, table1) << policy << ": dispatch stalled";
+  }
+}
+
+TEST(ShadowItlb, FullStallingTableRetriesFetchEachCycle) {
+  // A 200-iteration loop whose body hops across four code pages. With a
+  // one-entry iTLB every hop misses; with a one-entry stalling shadow
+  // iTLB a protected core cannot shadow the next page's translation until
+  // the entry's holder promotes or is squashed, so fetch retries one
+  // cycle later. The synthetic workloads never fill a shadow iTLB, so
+  // this is the one test of that full path: it pins each registered
+  // policy's cycles and the shadow iTLB's full_stalls.
+  ProgramBuilder b(0x1000);
+  b.movi(1, 200);
+  b.label("loop").jump("page1");
+  b.at(0x2000).label("page1").jump("page2");
+  b.at(0x3000).label("page2").jump("page3");
+  b.at(0x4000).label("page3").alui(AluOp::kSub, 1, 1, 1);
+  b.branch(CondOp::kNe, 1, kZeroReg, "loop").halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.itlb.entries = 1;
+  config.itlb.ways = 1;
+  config.shadow_itlb.entries = 1;
+  config.shadow_itlb.full_policy = shadow::FullPolicy::kStall;
+  struct Pin {
+    Cycle cycles;
+    std::uint64_t full_stalls;
+  };
+  const std::map<std::string, Pin> pins = {
+      {"baseline", {15'252, 0}},    {"SHARP", {15'252, 0}},
+      {"detect-only", {15'252, 0}}, {"WFB", {617'790, 4'909}},
+      {"WFB-stall", {617'790, 4'909}}, {"WFC", {620'973, 8'092}},
+  };
+  for (const auto& policy : policy::registered_policy_names()) {
+    ASSERT_EQ(pins.count(policy), 1u) << policy << " has no pinned run";
+    auto s = make_policy_sim(prog, policy, config);
+    ASSERT_EQ(s->run().stop, cpu::StopReason::kHalted) << policy;
+    EXPECT_EQ(s->core().reg(1), 0u) << policy;
+    EXPECT_EQ(s->core().stats().cycles, pins.at(policy).cycles) << policy;
+    EXPECT_EQ(s->core().shadow_itlb().stats().full_stalls.value(),
+              pins.at(policy).full_stalls)
+        << policy;
   }
 }
 

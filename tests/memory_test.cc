@@ -541,7 +541,8 @@ HierarchyConfig tiny_hierarchy() {
 }
 
 TEST(Hierarchy, LatenciesPerLevel) {
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   // Cold: memory.
   auto out = h.timed_access(0x10000, Side::kData, CacheHierarchy::Fill::kYes);
   EXPECT_EQ(out.latency, 191u);
@@ -552,7 +553,8 @@ TEST(Hierarchy, LatenciesPerLevel) {
 }
 
 TEST(Hierarchy, NonFillingAccessLeavesNoTrace) {
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   h.timed_access(0x20000, Side::kData, CacheHierarchy::Fill::kNo);
   EXPECT_FALSE(h.resident_l1(line_of(0x20000), Side::kData));
   EXPECT_FALSE(h.resident_l2(line_of(0x20000)));
@@ -560,7 +562,8 @@ TEST(Hierarchy, NonFillingAccessLeavesNoTrace) {
 }
 
 TEST(Hierarchy, InclusiveFillPopulatesAllLevels) {
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   h.fill_all_levels(7, Side::kData);
   EXPECT_TRUE(h.resident_l1(7, Side::kData));
   EXPECT_TRUE(h.resident_l2(7));
@@ -569,7 +572,8 @@ TEST(Hierarchy, InclusiveFillPopulatesAllLevels) {
 }
 
 TEST(Hierarchy, FlushLineRemovesEverywhere) {
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   h.fill_all_levels(7, Side::kData);
   h.flush_line(7);
   EXPECT_FALSE(h.resident_l1(7, Side::kData));
@@ -578,7 +582,8 @@ TEST(Hierarchy, FlushLineRemovesEverywhere) {
 }
 
 TEST(Hierarchy, L2EvictionBackInvalidatesL1) {
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   // L2: 4096B/4w/64B = 16 sets. Lines k*16 alias to L2 set 0.
   // L1D: 1024/2/64 = 8 sets; k*16 alias to L1 set 0 too (2 ways).
   h.fill_all_levels(0, Side::kData);
@@ -595,7 +600,8 @@ TEST(Hierarchy, L3HitPromotionSkipsBackInvalidation) {
   // the L2 eviction, so a line pushed out of L2 on that path stays in
   // the L1s — strict L1-vs-L2 inclusion is briefly violated. Golden
   // cycle counts depend on this; a fix must re-bless them.
-  CacheHierarchy h(tiny_hierarchy());
+  SharedLevels shared(tiny_hierarchy());
+  CacheHierarchy h(tiny_hierarchy(), shared, /*owner=*/0);
   // L2: 16 sets, 4 ways. Fill set 0, then overflow it from memory: the
   // fill_shared path *does* back-invalidate, so line 0 leaves L1/L2 but
   // stays in L3.
@@ -623,8 +629,8 @@ TEST(Hierarchy, L3HitPromotionSkipsBackInvalidation) {
 TEST(SharedLevels, SharedFillIsVisibleToEveryAttachedCore) {
   const HierarchyConfig cfg = tiny_hierarchy();
   SharedLevels shared(cfg);
-  CacheHierarchy h0(cfg, &shared, /*owner=*/0);
-  CacheHierarchy h1(cfg, &shared, /*owner=*/1);
+  CacheHierarchy h0(cfg, shared, /*owner=*/0);
+  CacheHierarchy h1(cfg, shared, /*owner=*/1);
   EXPECT_EQ(shared.num_attached(), 2);
 
   h0.fill_all_levels(7, Side::kData);
@@ -637,8 +643,8 @@ TEST(SharedLevels, SharedFillIsVisibleToEveryAttachedCore) {
 TEST(SharedLevels, RemoteEvictionBackInvalidatesOtherCoresL1) {
   const HierarchyConfig cfg = tiny_hierarchy();
   SharedLevels shared(cfg);
-  CacheHierarchy h0(cfg, &shared, /*owner=*/0);
-  CacheHierarchy h1(cfg, &shared, /*owner=*/1);
+  CacheHierarchy h0(cfg, shared, /*owner=*/0);
+  CacheHierarchy h1(cfg, shared, /*owner=*/1);
 
   h0.fill_all_levels(0, Side::kData);
   // Core 1 overflows shared-L2 set 0 (4 ways): core 0's line is evicted
@@ -653,8 +659,8 @@ TEST(SharedLevels, RemoteEvictionBackInvalidatesOtherCoresL1) {
 TEST(SharedLevels, FlushLineIsCoherenceGlobal) {
   const HierarchyConfig cfg = tiny_hierarchy();
   SharedLevels shared(cfg);
-  CacheHierarchy h0(cfg, &shared, /*owner=*/0);
-  CacheHierarchy h1(cfg, &shared, /*owner=*/1);
+  CacheHierarchy h0(cfg, shared, /*owner=*/0);
+  CacheHierarchy h1(cfg, shared, /*owner=*/1);
 
   h0.fill_all_levels(7, Side::kData);
   h1.fill_all_levels(7, Side::kData);
