@@ -7,6 +7,10 @@
 // turns the common lookup into shift / bounds-check / load. Keys past the
 // directory's reach (sparse, huge — e.g. synthetic high addresses) fall
 // back to an AddrMap so correctness never depends on density.
+//
+// Copies are copy-on-write: each core of a machine runs over a copy of
+// core 0's memory image, page table and program text, and shares every
+// page of it that it never writes.
 #pragma once
 
 #include <cstddef>
@@ -21,28 +25,22 @@ namespace safespec {
 
 /// Insert/lookup-only map keyed by Addr (no per-key erase; clear() drops
 /// everything — the same contract as AddrMap). Values must be
-/// default-constructible. Iteration order is unspecified.
+/// default-constructible and copyable. Iteration order is unspecified.
+///
+/// Copy-on-write contract: a copy shares the source's pages (the overflow
+/// map is copied whole), and each copy still behaves as an independent
+/// value. operator[] is the only accessor that writes: before it writes
+/// a page that another copy still holds, it clones that page. The
+/// reference it returns is for writing at once, before the map is copied
+/// again. A find() pointer is read-only and stays valid while any copy
+/// holds its page; the core's decoded-instruction buffer keeps
+/// Instruction pointers into shared text pages on that basis. After this
+/// map writes the page, look the key up again. Page refcounts are
+/// atomic, so copies may be read on several threads at once; two threads
+/// must not write copies that share a page without synchronising.
 template <typename V>
 class PagedAddrMap {
  public:
-  PagedAddrMap() = default;
-  PagedAddrMap(PagedAddrMap&&) = default;
-  PagedAddrMap& operator=(PagedAddrMap&&) = default;
-  // Deep copies: Program and MainMemory are value types the harnesses
-  // copy freely (one machine per cell), so the backing pages must clone.
-  PagedAddrMap(const PagedAddrMap& other) { *this = other; }
-  PagedAddrMap& operator=(const PagedAddrMap& other) {
-    if (this == &other) return *this;
-    dir_.clear();
-    dir_.reserve(other.dir_.size());
-    for (const auto& page : other.dir_) {
-      dir_.push_back(page ? std::make_unique<Page>(*page) : nullptr);
-    }
-    overflow_ = other.overflow_;
-    direct_size_ = other.direct_size_;
-    return *this;
-  }
-
   std::size_t size() const { return direct_size_ + overflow_.size(); }
   bool empty() const { return size() == 0; }
 
@@ -59,17 +57,19 @@ class PagedAddrMap {
     if (page < kMaxDirectPages) return nullptr;  // direct range, never set
     return overflow_.find(key);
   }
-  V* find(Addr key) {
-    return const_cast<V*>(static_cast<const PagedAddrMap*>(this)->find(key));
-  }
 
   /// Value for `key`, default-constructed and inserted when absent.
   V& operator[](Addr key) {
     const Addr page = key >> kPageBits;
     if (page >= kMaxDirectPages) return overflow_[key];
     if (page >= dir_.size()) dir_.resize(page + 1);
-    if (dir_[page] == nullptr) dir_[page] = std::make_unique<Page>();
-    Page& p = *dir_[page];
+    std::shared_ptr<Page>& slot = dir_[page];
+    if (slot == nullptr) {
+      slot = std::make_shared<Page>();
+    } else if (slot.use_count() > 1) {
+      slot = std::make_shared<Page>(*slot);  // another copy holds it
+    }
+    Page& p = *slot;
     const std::size_t off = key & kPageMask;
     if (!p.is_present(off)) {
       p.present[off >> 6] |= 1ULL << (off & 63);
@@ -106,7 +106,7 @@ class PagedAddrMap {
   static constexpr int kPageBits = 12;
   static constexpr std::size_t kPageEntries = std::size_t{1} << kPageBits;
   static constexpr Addr kPageMask = kPageEntries - 1;
-  /// Directory reach: 2^20 pages (an 8 MiB pointer directory at worst)
+  /// Directory reach: 2^20 pages (a 16 MiB pointer directory at worst)
   /// covers keys below 2^32; anything higher goes to the overflow map.
   static constexpr Addr kMaxDirectPages = Addr{1} << 20;
 
@@ -118,7 +118,7 @@ class PagedAddrMap {
     }
   };
 
-  std::vector<std::unique_ptr<Page>> dir_;
+  std::vector<std::shared_ptr<Page>> dir_;
   AddrMap<V> overflow_;
   std::size_t direct_size_ = 0;
 };

@@ -999,8 +999,10 @@ void Core::stage_fetch() {
       // Subsequent instruction from the same fetch line; the previous one
       // took any pending i-line ref with it.
       assert(pending_iline_ == DynInst::kNoShadow);
-      if (protection_on() && shadow_icache_.contains(line)) {
+      if (protection_on()) {
         pending_iline_ = shadow_icache_.acquire_existing(line);  // counts hit
+      }
+      if (pending_iline_ != DynInst::kNoShadow) {
         ++stats_.fetch_shadow_hits;
       } else {
         hierarchy_.l1i().access(line, /*update_replacement=*/!protection_on());

@@ -107,9 +107,11 @@ ResolvedCell resolve(const Cell& cell) {
 
 CellRun run_cell(const Cell& cell, const sim::MachineSpec& base) {
   const ResolvedCell r = resolve(cell, base);
+  CellRun run;
+  const auto setup_start = std::chrono::steady_clock::now();
   auto sim = workloads::make_workload_sim(r.profile, r.machine.core,
                                           cell.instrs);
-  CellRun run;
+  run.setup_ms = ms_since(setup_start);
   if (cell.mode == "functional") {
     // The bare engine over the same program, memory and page table the
     // detailed cells use: the oracle fast path in isolation.

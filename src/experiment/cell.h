@@ -80,10 +80,11 @@ ResolvedCell resolve(const Cell& cell, sim::MachineSpec base);
 /// resolve() on the cell's own preset.
 ResolvedCell resolve(const Cell& cell);
 
-/// One finished cell: its result, plus the host wall time of the run
-/// phase alone (program generation and machine construction excluded).
+/// One finished cell: its result, plus the host wall times of its two
+/// phases: set-up (program generation and machine construction) and run.
 struct CellRun {
   sim::SimResult result;
+  double setup_ms = 0.0;
   double run_ms = 0.0;
 };
 

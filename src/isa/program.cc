@@ -22,7 +22,10 @@ std::vector<Addr> Program::pcs() const {
   text_.for_each([&out](Addr slot, const Instruction&) {
     out.push_back(slot * kInstrBytes);
   });
-  std::sort(out.begin(), out.end());
+  // Already sorted unless some pcs sit in the hash overflow (>= 16 GiB).
+  if (!std::is_sorted(out.begin(), out.end())) {
+    std::sort(out.begin(), out.end());
+  }
   return out;
 }
 

@@ -28,6 +28,13 @@ enum class PagePerm : std::uint8_t {
 /// Privilege level the core currently runs at.
 enum class PrivLevel : std::uint8_t { kUser, kKernel };
 
+/// One 64-bit word written before a run: a machine's poke, a workload's
+/// init word, a trace's init-word record.
+struct Poke {
+  Addr addr = 0;
+  std::uint64_t value = 0;
+};
+
 /// Sparse 64-bit-word-granular physical memory with page permissions.
 ///
 /// Addresses given to read/write are byte addresses; storage is at 8-byte

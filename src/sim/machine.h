@@ -38,11 +38,7 @@ struct MemRegion {
   memory::PagePerm perm = memory::PagePerm::kUser;
 };
 
-/// One pre-run architectural memory write.
-struct Poke {
-  Addr addr = 0;
-  std::uint64_t value = 0;
-};
+using memory::Poke;  ///< one pre-run architectural memory write
 
 /// Declarative description of one simulated machine.
 struct MachineSpec {
@@ -135,7 +131,7 @@ class MachineBuilder {
 
   /// Validates the spec and yields a ready-to-run simulator: program
   /// text mapped (unless map_text=false), regions mapped, pokes applied
-  /// — once, into core 0's image, which the other cores then copy.
+  /// — once, into core 0's image, which the other cores share copy-on-write.
   /// Propagates MachineSpec::validate()'s exceptions
   /// (std::invalid_argument, or std::out_of_range for unknown names).
   std::unique_ptr<Simulator> build(isa::Program program) const;

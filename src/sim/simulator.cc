@@ -30,7 +30,7 @@ Simulator::Simulator(const cpu::CoreConfig& config, isa::Program program) {
   const int n = std::max(1, config.cores);
   std::vector<isa::Program> programs;
   programs.reserve(static_cast<std::size_t>(n));
-  for (int c = 1; c < n; ++c) programs.push_back(program);  // copies
+  for (int c = 1; c < n; ++c) programs.push_back(program);  // shares pages
   programs.insert(programs.begin(), std::move(program));
   build_cores(config, std::move(programs));
 }

@@ -5,6 +5,7 @@
 // Multi-core model: the simulator owns one context (program copy, private
 // memory image, page table, core with private L1s/TLBs/shadows) per core,
 // plus one memory::SharedLevels holding the L2/L3 every core attaches to.
+// Copies of one image share every page no core has written (copy-on-write).
 // Cores advance under a deterministic round-robin interleaving: one cycle
 // per live core per global cycle, core 0 first. Each core runs its own
 // program against its own architectural memory — a private "process" — so

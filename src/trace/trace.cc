@@ -218,7 +218,7 @@ std::vector<std::uint8_t> encode(const TraceImage& image, bool compress) {
     put_u64(payload, region.bytes);
     put_u64(payload, region.kernel ? 1 : 0);
   }
-  for (const TraceWord& word : image.init_words) {
+  for (const memory::Poke& word : image.init_words) {
     put_u64(payload, word.addr);
     put_u64(payload, word.value);
   }

@@ -27,6 +27,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
+#include "memory/main_memory.h"
 #include "trace/trace_format.h"
 
 namespace safespec::trace {
@@ -38,18 +39,12 @@ struct TraceRegion {
   bool kernel = false;  ///< kernel-only mapping (secret regions)
 };
 
-/// One pre-run architectural memory word.
-struct TraceWord {
-  Addr addr = 0;
-  std::uint64_t value = 0;
-};
-
 /// A complete trace in memory.
 struct TraceImage {
   Addr entry = 0;
   std::optional<Addr> fault_handler;
   std::vector<TraceRegion> regions;
-  std::vector<TraceWord> init_words;
+  std::vector<memory::Poke> init_words;
   std::vector<TraceRecord> records;  ///< pc-ascending static stream
 
   /// Rebuilds the exact static program (entry, fault handler, every
@@ -103,7 +98,7 @@ class TraceReader {
   Addr entry() const { return entry_; }
   const std::optional<Addr>& fault_handler() const { return fault_handler_; }
   const std::vector<TraceRegion>& regions() const { return regions_; }
-  const std::vector<TraceWord>& init_words() const { return init_words_; }
+  const std::vector<memory::Poke>& init_words() const { return init_words_; }
 
   std::uint64_t records_total() const { return records_total_; }
   std::uint64_t records_read() const { return records_read_; }
@@ -127,7 +122,7 @@ class TraceReader {
   Addr entry_ = 0;
   std::optional<Addr> fault_handler_;
   std::vector<TraceRegion> regions_;
-  std::vector<TraceWord> init_words_;
+  std::vector<memory::Poke> init_words_;
   std::uint64_t records_total_ = 0;
   std::uint64_t records_read_ = 0;
   std::uint64_t checksum_expected_ = 0;

@@ -13,10 +13,7 @@ TraceImage record_workload(const workloads::WorkloadImage& image) {
   for (const workloads::WorkloadRegion& region : image.regions) {
     out.regions.push_back({region.base, region.bytes, region.kernel});
   }
-  out.init_words.reserve(image.init_words.size());
-  for (const auto& [addr, value] : image.init_words) {
-    out.init_words.push_back({addr, value});
-  }
+  out.init_words = image.init_words;
   return out;
 }
 
@@ -27,10 +24,7 @@ TraceImage record_fuzz(const fuzz::FuzzProgram& fp) {
     out.regions.push_back({region.base, region.bytes,
                            region.perm == memory::PagePerm::kKernel});
   }
-  out.init_words.reserve(fp.pokes.size());
-  for (const sim::Poke& poke : fp.pokes) {
-    out.init_words.push_back({poke.addr, poke.value});
-  }
+  out.init_words = fp.pokes;
   return out;
 }
 
@@ -41,10 +35,7 @@ workloads::WorkloadImage to_workload_image(const TraceImage& image) {
   for (const TraceRegion& region : image.regions) {
     out.regions.push_back({region.base, region.bytes, region.kernel});
   }
-  out.init_words.reserve(image.init_words.size());
-  for (const TraceWord& word : image.init_words) {
-    out.init_words.emplace_back(word.addr, word.value);
-  }
+  out.init_words = image.init_words;
   return out;
 }
 

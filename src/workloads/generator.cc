@@ -93,11 +93,13 @@ WorkloadImage generate(const WorkloadProfile& profile,
     for (std::uint64_t i = words - 1; i > 0; --i) {
       std::swap(perm[i], perm[rng.below(i + 1)]);
     }
-    image.init_words.reserve(words);
+    // Link i points at link i + 1, the last at the first. Fields are set
+    // in place: a braced temporary per link stalls store forwarding.
+    image.init_words.resize(words);
     for (std::uint64_t i = 0; i < words; ++i) {
-      const Addr slot = chase_base + 8 * perm[i];
-      const Addr next = chase_base + 8 * perm[(i + 1) % words];
-      image.init_words.emplace_back(slot, next);
+      memory::Poke& link = image.init_words[i];
+      link.addr = chase_base + 8 * perm[i];
+      link.value = chase_base + 8 * perm[i + 1 < words ? i + 1 : 0];
     }
   }
 

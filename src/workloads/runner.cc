@@ -28,10 +28,7 @@ std::unique_ptr<sim::Simulator> make_image_sim(
                             region.kernel ? memory::PagePerm::kKernel
                                           : memory::PagePerm::kUser});
   }
-  spec.pokes.reserve(image.init_words.size());
-  for (const auto& [addr, value] : image.init_words) {
-    spec.pokes.push_back({addr, value});
-  }
+  spec.pokes = std::move(image.init_words);
   return sim::MachineBuilder{std::move(spec)}.build(std::move(image.program));
 }
 

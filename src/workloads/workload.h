@@ -17,6 +17,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
+#include "memory/main_memory.h"
 
 namespace safespec::workloads {
 
@@ -73,8 +74,10 @@ struct WorkloadImage {
   isa::Program program;
   Addr data_base = 0;
   std::uint64_t data_bytes = 0;  ///< map [data_base, +data_bytes) as user
-  /// Initial memory words (pointer-chase permutation links).
-  std::vector<std::pair<Addr, std::uint64_t>> init_words;
+  /// Initial memory words (pointer-chase permutation links), in the
+  /// order they are written; make_image_sim hands them to the machine as
+  /// its pokes.
+  std::vector<memory::Poke> init_words;
   /// Additional regions to map (empty for synthetic workloads).
   std::vector<WorkloadRegion> regions;
 };

@@ -377,7 +377,8 @@ TEST(PerfTrend, LoadsDirectoryAndRendersReport) {
       "{\"instrs_per_cell\": 1000, \"repeat\": 1,\n"
       " \"cells\": [{\"workload\": \"mcf\", \"policy\": \"WFC\","
       " \"preset\": \"skylake\", \"committed_instrs\": 1000,"
-      " \"cycles\": 2000, \"wall_ms\": %s, \"mips\": %s}],\n"
+      " \"cycles\": 2000, \"setup_ms\": 0.5, \"wall_ms\": %s,"
+      " \"mips\": %s}],\n"
       " \"aggregate\": {\"total_instrs\": 1000, \"total_wall_ms\": %s,"
       " \"mips\": %s}}\n";
   char doc[512];

@@ -364,6 +364,89 @@ TEST(PagedAddrMapTest, DeepCopyIsIndependent) {
   EXPECT_EQ(*b.find(Addr{1} << 50), 51);
 }
 
+// Copies share pages until one side writes (copy-on-write). Keys 4096
+// apart sit on different pages.
+TEST(PagedAddrMapTest, WriteToSourceAfterCopyLeavesCopyIntact) {
+  PagedAddrMap<int> a;
+  a[5] = 50;
+  a[4096 + 1] = 60;
+  const PagedAddrMap<int> b = a;
+  const int* held = b.find(5);
+  a[5] = 99;         // a page b still holds
+  a[7] = 70;         // a new key on that page
+  a[2 * 4096] = 80;  // a page only a has
+  EXPECT_EQ(b.find(5), held);  // b's pointer is still valid
+  EXPECT_EQ(*held, 50);
+  EXPECT_EQ(b.find(7), nullptr);
+  EXPECT_EQ(b.find(2 * 4096), nullptr);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(*a.find(5), 99);
+  EXPECT_EQ(*a.find(7), 70);
+  EXPECT_EQ(*a.find(4096 + 1), 60);
+  EXPECT_EQ(a.size(), 4u);
+}
+
+TEST(PagedAddrMapTest, CopyOfACopyIsIndependentOfBoth) {
+  PagedAddrMap<int> a;
+  a[1] = 10;
+  PagedAddrMap<int> b = a;
+  PagedAddrMap<int> c;
+  c[9] = 90;
+  c = b;  // copy assignment drops c's own page; three holders of a's
+  b[1] = 20;
+  c[1] = 30;
+  c[2] = 31;
+  a[1] = 11;  // a holds its page alone by now
+  EXPECT_EQ(*a.find(1), 11);
+  EXPECT_EQ(*b.find(1), 20);
+  EXPECT_EQ(*c.find(1), 30);
+  EXPECT_EQ(a.find(2), nullptr);
+  EXPECT_EQ(b.find(2), nullptr);
+  EXPECT_EQ(c.find(9), nullptr);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(c.size(), 2u);
+}
+
+TEST(PagedAddrMapTest, OverflowKeysWrittenAfterCopyStayOnOneSide) {
+  const Addr huge = Addr{1} << 45;  // past the page directory
+  PagedAddrMap<int> a;
+  a[huge] = 1;
+  PagedAddrMap<int> b = a;
+  b[huge] = 2;
+  b[huge + 1] = 3;
+  a[huge + 2] = 4;
+  EXPECT_EQ(*a.find(huge), 1);
+  EXPECT_EQ(a.find(huge + 1), nullptr);
+  EXPECT_EQ(*a.find(huge + 2), 4);
+  EXPECT_EQ(*b.find(huge), 2);
+  EXPECT_EQ(*b.find(huge + 1), 3);
+  EXPECT_EQ(b.find(huge + 2), nullptr);
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(b.size(), 2u);
+}
+
+TEST(PagedAddrMapTest, ClearOnOneCopyLeavesTheOther) {
+  PagedAddrMap<int> a;
+  a[3] = 30;
+  a[Addr{1} << 40] = 31;
+  PagedAddrMap<int> b = a;
+  const int* held = b.find(3);
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.find(3), nullptr);
+  EXPECT_EQ(a.find(Addr{1} << 40), nullptr);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.find(3), held);  // b still holds the page
+  EXPECT_EQ(*held, 30);
+  EXPECT_EQ(*b.find(Addr{1} << 40), 31);
+  a[3] = 1;
+  b.clear();
+  EXPECT_EQ(*a.find(3), 1);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_TRUE(b.empty());
+}
+
 TEST(PagedAddrMapTest, ClearDropsEverything) {
   PagedAddrMap<int> m;
   m[1] = 1;

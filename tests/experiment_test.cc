@@ -160,6 +160,7 @@ TEST(Cell, RunCellReportsTheRunPhaseAndFunctionalCommits) {
   const CellRun detailed = run_cell(cell);
   EXPECT_EQ(detailed.result.stop, cpu::StopReason::kMaxInstrs);
   EXPECT_GT(detailed.result.cycles, 0u);
+  EXPECT_GT(detailed.setup_ms, 0.0);
   EXPECT_GE(detailed.run_ms, 0.0);
 
   cell.mode = "functional";

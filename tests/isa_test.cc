@@ -133,6 +133,21 @@ TEST(Program, DoubleOccupancyThrowsUnlessOverwrite) {
   EXPECT_NO_THROW(p.place(0x1000, Instruction{}, /*overwrite=*/true));
 }
 
+TEST(Program, PatchingACopyLeavesTheOtherIntact) {
+  ProgramBuilder b(0x1000);
+  b.movi(1, 7).movi(2, 8).halt();
+  const Program original = b.build();
+  Program patched = original;  // shares the text pages
+  const Instruction* held = original.at(0x1004);
+  patched.place(0x1004, Instruction{}, /*overwrite=*/true);
+  EXPECT_EQ(original.at(0x1004), held);  // still valid, still the movi
+  EXPECT_EQ(held->op, OpClass::kAlu);
+  EXPECT_EQ(held->imm, 8);
+  EXPECT_EQ(patched.at(0x1004)->op, OpClass::kNop);
+  EXPECT_EQ(patched.at(0x1000)->imm, 7);
+  EXPECT_EQ(patched.pcs(), original.pcs());
+}
+
 TEST(ProgramBuilder, SequentialLayout) {
   ProgramBuilder b(0x1000);
   b.nop().nop().nop();

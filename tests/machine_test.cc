@@ -585,7 +585,7 @@ TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
     }
   }
 
-  // Copies, not shared pages: a write after build reaches one core only.
+  // Copy-on-write: a write after build reaches one core only.
   const std::uint64_t before = sim->peek(kUser);
   sim->poke_on(1, kUser, 0xabc);
   sim->poke_on(1, kUser + kUserBytes - 8, 0xdef);  // a page no poke touched

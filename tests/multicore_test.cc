@@ -2,7 +2,8 @@
 // repeated (cycles, per-core stats, architectural state, cross-core
 // eviction counts), the deterministic interleaving and shared-level
 // contention never reach architecture (every core at cores=2 commits the
-// same state as the cores=1 run of the same workload), and cores=1 runs
+// same state as the cores=1 run of the same workload), each core's
+// stores stay in its own copy of the shared initial image, and cores=1 runs
 // stay deterministic across every policy x preset after the
 // shared-hierarchy refactor (bit-identity against the seed is enforced
 // separately by the golden CSVs).
@@ -10,12 +11,14 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.h"
 #include "experiment/cell.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
+#include "isa/program.h"
 #include "safespec/policy.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
@@ -132,6 +135,39 @@ TEST(MultiCore, SharpCoresTwoRunTwiceIsBitIdentical) {
   const auto b = run_once("mcf", "SHARP", "skylake", 2, 20'000);
   ASSERT_EQ(a.committed.size(), 2u);
   expect_identical(a, b, "cores=2 repeat, SHARP");
+}
+
+TEST(MultiCore, EachCoreWritesOnlyItsOwnImage) {
+  // Both cores run one program that stores r1 to one address, over
+  // copies of one image that share their pages until written. Different
+  // r1 values per core must land in different images. (The cores=2 fuzz
+  // shard cannot see page aliasing: its cores store identical values.)
+  constexpr Addr kData = 0x200000;
+  constexpr Addr kOther = 0x400000;
+  isa::ProgramBuilder b(0x1000);
+  b.movi(2, static_cast<std::int64_t>(kData)).store(1, 2).halt();
+  isa::Program program = b.build();
+  program.set_entry(0x1000);
+  auto sim = sim::MachineBuilder::from_preset("skylake")
+                 .set("cores=2")
+                 .map_region(kData, kPageSize)
+                 .map_region(kOther, kPageSize)
+                 .poke(kData, 5)
+                 .poke(kOther, 6)
+                 .build(std::move(program));
+  ASSERT_EQ(sim->num_cores(), 2);
+  sim->core(0).set_reg(1, 0x111);
+  sim->core(1).set_reg(1, 0x222);
+  sim->poke_on(1, kOther, 7);
+  EXPECT_EQ(sim->peek_on(0, kOther), 6u);
+  EXPECT_EQ(sim->peek_on(1, kOther), 7u);
+
+  EXPECT_EQ(sim->run().stop, cpu::StopReason::kHalted);
+  EXPECT_TRUE(sim->core(1).halted());
+  EXPECT_EQ(sim->peek_on(0, kData), 0x111u);
+  EXPECT_EQ(sim->peek_on(1, kData), 0x222u);
+  EXPECT_EQ(sim->peek_on(0, kOther), 6u);
+  EXPECT_EQ(sim->peek_on(1, kOther), 7u);
 }
 
 // ---- cores=1 stability across the whole configuration space ----------------

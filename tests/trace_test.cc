@@ -64,9 +64,7 @@ workloads::WorkloadImage image_of(const fuzz::FuzzProgram& fp) {
     image.regions.push_back({region.base, region.bytes,
                              region.perm == memory::PagePerm::kKernel});
   }
-  for (const sim::Poke& poke : fp.pokes) {
-    image.init_words.emplace_back(poke.addr, poke.value);
-  }
+  image.init_words = fp.pokes;
   return image;
 }
 

@@ -58,8 +58,8 @@ TEST(Generator, ChaseRegionIsOneCycle) {
   const auto image = generate(p, 1'000);
   ASSERT_FALSE(image.init_words.empty());
   // Follow the links: every slot visited exactly once, returning to start.
-  std::map<Addr, std::uint64_t> links(image.init_words.begin(),
-                                      image.init_words.end());
+  std::map<Addr, std::uint64_t> links;
+  for (const auto& word : image.init_words) links[word.addr] = word.value;
   const Addr start = links.begin()->first;
   Addr cur = start;
   std::set<Addr> visited;
