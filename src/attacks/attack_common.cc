@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "isa/instruction.h"
+#include "predictor/branch_predictor.h"
 #include "sim/machine.h"
 
 namespace safespec::attacks {
@@ -15,6 +16,18 @@ cpu::CoreConfig attack_machine(const std::string& policy) {
   cpu::CoreConfig config = sim::machine_preset("skylake").core;
   config.policy = policy;
   return config;
+}
+
+cpu::CoreConfig bimodal_attack_machine(const std::string& policy) {
+  cpu::CoreConfig config = attack_machine(policy);
+  config.predictor.direction.kind = predictor::DirectionKind::kBimodal;
+  return config;
+}
+
+std::string ReceiverReading::describe() const {
+  return "hot=" + std::to_string(best_candidate) +
+         " lat=" + std::to_string(best_latency) +
+         " margin=" + std::to_string(margin);
 }
 
 void emit_probe_flush(ProgramBuilder& b, const std::string& label_prefix) {

@@ -78,6 +78,14 @@ struct ReceiverReading {
   std::uint64_t best_latency = 0;
   std::uint64_t margin = 0;  ///< separation from the runner-up
   std::vector<std::uint64_t> latencies;
+
+  /// The hot candidate is `secret` and is separated from the runner-up
+  /// by more than any plausible timing noise (an L2-vs-memory gap).
+  bool clearly_leaked(int secret) const {
+    return best_candidate == secret && margin > 50;
+  }
+  /// "hot=C lat=L margin=M", the receiver part of an outcome's detail.
+  std::string describe() const;
 };
 ReceiverReading read_receiver(const sim::Simulator& sim);
 /// Same, but reads the table from core `c`'s private memory — the
@@ -107,5 +115,11 @@ struct AttackOutcome {
 /// named protection policy selected (throws std::out_of_range, listing
 /// the registered policies, on an unknown name).
 cpu::CoreConfig attack_machine(const std::string& policy);
+/// attack_machine with a bimodal direction predictor: its pc-indexed
+/// counters make in-program mistraining deterministic, which keeps the
+/// PoCs robust. (The threat model grants the attacker full predictor
+/// control anyway — §II-C assumes predictor state is effectively
+/// programmable.)
+cpu::CoreConfig bimodal_attack_machine(const std::string& policy);
 
 }  // namespace safespec::attacks

@@ -19,7 +19,6 @@
 #include <sstream>
 
 #include "attacks/attacks.h"
-#include "predictor/branch_predictor.h"
 #include "sim/machine.h"
 
 namespace safespec::attacks {
@@ -29,14 +28,6 @@ using isa::CondOp;
 using isa::ProgramBuilder;
 
 namespace {
-
-/// Bimodal predictor for deterministic in-program mistraining (same
-/// rationale as the single-core PoCs).
-cpu::CoreConfig attack_config(const std::string& policy) {
-  auto config = attack_machine(policy);
-  config.predictor.direction.kind = predictor::DirectionKind::kBimodal;
-  return config;
-}
 
 // Phase barriers (cycles). Training and each spy phase finish in a few
 // thousand cycles, so the 30k spacing leaves generous slack.
@@ -63,17 +54,6 @@ void emit_wait_until(ProgramBuilder& b, const std::string& label,
   b.movi(kRegT2, cycle);
   b.branch(CondOp::kLt, kRegT1, kRegT2, label);
   b.fence();
-}
-
-bool clearly_leaked(const ReceiverReading& rx, int secret) {
-  return rx.best_candidate == secret && rx.margin > 50;
-}
-
-std::string describe(const ReceiverReading& rx) {
-  std::ostringstream oss;
-  oss << "hot=" << rx.best_candidate << " lat=" << rx.best_latency
-      << " margin=" << rx.margin;
-  return oss.str();
 }
 
 /// The Spectre-v1 victim function: bounds check, secret read, probe
@@ -146,12 +126,12 @@ AttackOutcome finish(const char* name, const std::string& policy, int secret,
   out.secret = secret;
   out.recovered = rx.best_candidate;
   out.leaked = result.stop == cpu::StopReason::kHalted &&
-               sim.core(1).halted() && clearly_leaked(rx, secret);
+               sim.core(1).halted() && rx.clearly_leaked(secret);
   out.cross_core_evictions = sim.shared_levels().cross_core_evictions();
   out.sharp_alarms = result.sharp_alarms;
   out.sharp_detections = result.sharp_detections;
   std::ostringstream oss;
-  oss << describe(rx) << " xevict=" << out.cross_core_evictions
+  oss << rx.describe() << " xevict=" << out.cross_core_evictions
       << " alarms=" << out.sharp_alarms;
   out.detail = oss.str();
   return out;
@@ -181,7 +161,7 @@ AttackOutcome run_cross_core_flush_reload(const std::string& policy,
   programs.push_back(build_victim(secret, /*rewarm_secret=*/false));
   programs.push_back(std::move(spy));
 
-  sim::Simulator sim(attack_config(policy), std::move(programs));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(programs));
   map_attack_regions(sim);
   plant_secret(sim, secret);
 
@@ -194,7 +174,7 @@ AttackOutcome run_cross_core_evict(const std::string& policy, int secret) {
   // victim's bounds word with committed fills of conflicting lines;
   // inclusive back-invalidation then removes the bound from the victim's
   // private L1/L2, so the bounds check is slow and the window opens.
-  const auto config = attack_config(policy);
+  const auto config = bimodal_attack_machine(policy);
   const auto& l3 = config.hierarchy.l3;
   const std::int64_t set_stride =
       static_cast<std::int64_t>(l3.num_sets()) * l3.line_bytes;
@@ -228,7 +208,7 @@ AttackOutcome run_cross_core_evict(const std::string& policy, int secret) {
   programs.push_back(build_victim(secret, /*rewarm_secret=*/true));
   programs.push_back(std::move(spy));
 
-  sim::Simulator sim(attack_config(policy), std::move(programs));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(programs));
   map_attack_regions(sim);
   for (int k = 0; k < conflicts; ++k) {
     sim.map_region(kEvictBase + static_cast<Addr>(k) *
@@ -247,7 +227,7 @@ AttackOutcome run_cross_core_prime_detect(const std::string& policy) {
   // the situation SHARP's forced-eviction alarm exists for. The detector
   // threshold scales down with the hierarchy (the exemplar's 2,000
   // alarms/epoch matches a full-size cache being swept set by set).
-  auto config = attack_config(policy);
+  auto config = bimodal_attack_machine(policy);
   config.hierarchy.l2.size_bytes = 32 * 1024;  // 128 sets x 4 ways
   config.hierarchy.l3.size_bytes = 64 * 1024;  // 64 sets x 16 ways
   config.sharp_alarm_threshold = 50;
@@ -376,7 +356,7 @@ ShadowContentionOutcome run_cross_core_shadow_contention(
   std::vector<isa::Program> storm_pair;
   storm_pair.push_back(std::move(storm));
   storm_pair.push_back(idle);
-  sim::Simulator sim(attack_config(policy), std::move(storm_pair));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(storm_pair));
   map_attack_regions(sim);
   sim.poke(Layout::kBound, 16);
   sim.run();
@@ -384,7 +364,8 @@ ShadowContentionOutcome run_cross_core_shadow_contention(
   std::vector<isa::Program> control_pair;
   control_pair.push_back(idle);
   control_pair.push_back(std::move(idle));
-  sim::Simulator control(attack_config(policy), std::move(control_pair));
+  sim::Simulator control(bimodal_attack_machine(policy),
+                         std::move(control_pair));
   map_attack_regions(control);
   control.poke(Layout::kBound, 16);
   control.run();

@@ -1,6 +1,5 @@
 // Meltdown: user-mode read of kernel memory through the deferred
 // permission check (P1), recovered via Flush+Reload after the fault.
-#include <sstream>
 
 #include "attacks/attacks.h"
 #include "sim/machine.h"
@@ -59,11 +58,8 @@ AttackOutcome run_meltdown_with_delay(const std::string& policy, int secret,
   out.secret = secret;
   out.recovered = rx.best_candidate;
   out.leaked = result.stop == cpu::StopReason::kHalted &&
-               rx.best_candidate == secret && rx.margin > 50;
-  std::ostringstream oss;
-  oss << "hot=" << rx.best_candidate << " lat=" << rx.best_latency
-      << " margin=" << rx.margin << " faults=" << result.faults;
-  out.detail = oss.str();
+               rx.clearly_leaked(secret);
+  out.detail = rx.describe() + " faults=" + std::to_string(result.faults);
   return out;
 }
 

@@ -1,8 +1,5 @@
 // Spectre v1 (bounds-check bypass) and v2 (branch target injection).
-#include <sstream>
-
 #include "attacks/attacks.h"
-#include "predictor/branch_predictor.h"
 #include "sim/machine.h"
 
 namespace safespec::attacks {
@@ -13,16 +10,6 @@ using isa::ProgramBuilder;
 
 namespace {
 
-/// Attacks use a bimodal direction predictor: its pc-indexed counters
-/// make in-program mistraining deterministic, which keeps the PoCs
-/// robust. (The threat model grants the attacker full predictor control
-/// anyway — §II-C assumes predictor state is effectively programmable.)
-cpu::CoreConfig attack_config(const std::string& policy) {
-  auto config = attack_machine(policy);
-  config.predictor.direction.kind = predictor::DirectionKind::kBimodal;
-  return config;
-}
-
 constexpr RegIndex kRegOffset = 1;   ///< victim call argument
 constexpr RegIndex kRegBoundP = 2;
 constexpr RegIndex kRegV1 = 3;
@@ -30,19 +17,6 @@ constexpr RegIndex kRegV2 = 4;
 constexpr RegIndex kRegV3 = 5;
 constexpr RegIndex kRegV4 = 6;
 constexpr RegIndex kRegTrainC = 7;
-
-bool clearly_leaked(const ReceiverReading& rx, int secret) {
-  // The hot candidate must match and be separated from the runner-up by
-  // more than any plausible timing noise (an L2-vs-memory gap).
-  return rx.best_candidate == secret && rx.margin > 50;
-}
-
-std::string describe(const ReceiverReading& rx) {
-  std::ostringstream oss;
-  oss << "hot=" << rx.best_candidate << " lat=" << rx.best_latency
-      << " margin=" << rx.margin;
-  return oss.str();
-}
 
 }  // namespace
 
@@ -104,7 +78,7 @@ AttackOutcome run_spectre_v1(const std::string& policy, int secret) {
   auto program = b.build();
   program.set_entry(Layout::kText);
 
-  sim::Simulator sim(attack_config(policy), std::move(program));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(program));
   map_attack_regions(sim);
   sim.poke(Layout::kBound, 16);  // array1_size
   for (int i = 0; i < 16; ++i) {
@@ -122,8 +96,8 @@ AttackOutcome run_spectre_v1(const std::string& policy, int secret) {
   out.secret = secret;
   out.recovered = rx.best_candidate;
   out.leaked = result.stop == cpu::StopReason::kHalted &&
-               clearly_leaked(rx, secret);
-  out.detail = describe(rx);
+               rx.clearly_leaked(secret);
+  out.detail = rx.describe();
   return out;
 }
 
@@ -170,7 +144,7 @@ AttackOutcome run_spectre_v2(const std::string& policy, int secret) {
   const Addr gadget = b.label_addr("gadget");
   const Addr benign = b.label_addr("benign");
 
-  sim::Simulator sim(attack_config(policy), std::move(program));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(program));
   map_attack_regions(sim);
   sim.poke(Layout::kFptr, benign);
   sim.poke(Layout::kSecretUser, static_cast<std::uint64_t>(secret));
@@ -189,8 +163,8 @@ AttackOutcome run_spectre_v2(const std::string& policy, int secret) {
   out.secret = secret;
   out.recovered = rx.best_candidate;
   out.leaked = result.stop == cpu::StopReason::kHalted &&
-               clearly_leaked(rx, secret);
-  out.detail = describe(rx);
+               rx.clearly_leaked(secret);
+  out.detail = rx.describe();
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "attacks/attacks.h"
-#include "predictor/branch_predictor.h"
 #include "sim/machine.h"
 
 namespace safespec::attacks {
@@ -21,12 +20,6 @@ using isa::ProgramBuilder;
 namespace {
 
 constexpr Addr kFnPages = 0x7000000;  ///< iTLB variant: one target per page
-
-cpu::CoreConfig attack_config(const std::string& policy) {
-  auto config = attack_machine(policy);
-  config.predictor.direction.kind = predictor::DirectionKind::kBimodal;
-  return config;
-}
 
 /// Emits the common prologue: train the victim's bounds check with
 /// in-bounds offsets (value 0 everywhere, so candidate 0 is the only
@@ -128,7 +121,7 @@ AttackOutcome run_icache_attack(const std::string& policy, int secret) {
 
   auto program = b.build();
   program.set_entry(Layout::kText);
-  sim::Simulator sim(attack_config(policy), std::move(program));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(program));
   map_attack_regions(sim);
   setup_victim_memory(sim, secret);
 
@@ -158,7 +151,7 @@ AttackOutcome run_itlb_attack(const std::string& policy, int secret) {
 
   auto program = b.build();
   program.set_entry(Layout::kText);
-  sim::Simulator sim(attack_config(policy), std::move(program));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(program));
   map_attack_regions(sim);
   setup_victim_memory(sim, secret);
 
@@ -195,7 +188,7 @@ AttackOutcome run_dtlb_attack(const std::string& policy, int secret) {
 
   auto program = b.build();
   program.set_entry(Layout::kText);
-  sim::Simulator sim(attack_config(policy), std::move(program));
+  sim::Simulator sim(bimodal_attack_machine(policy), std::move(program));
   map_attack_regions(sim);
   sim.map_region(Layout::kTlbProbe,
                  static_cast<std::uint64_t>(Layout::kCandidates) * kPageSize);

@@ -27,7 +27,6 @@
 #include <sstream>
 
 #include "attacks/attacks.h"
-#include "predictor/branch_predictor.h"
 #include "sim/machine.h"
 
 namespace safespec::attacks {
@@ -131,8 +130,7 @@ TsaRun run_once(const TsaConfig& config, int secret_bit) {
   // The branch pc is needed for mistraining; rebuild to find the label.
   ProgramBuilder finder(Layout::kText);
   // (Label addresses are deterministic; rebuild the program and query.)
-  auto core_config = attack_machine(config.policy);
-  core_config.predictor.direction.kind = predictor::DirectionKind::kBimodal;
+  auto core_config = bimodal_attack_machine(config.policy);
   core_config.shadow_dcache.entries = config.shadow_entries;
   core_config.shadow_dcache.full_policy = config.full_policy;
 

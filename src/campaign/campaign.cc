@@ -368,7 +368,6 @@ ShardJournal::ShardJournal(const Manifest& manifest, const std::string& dir,
     // A killed writer left a partial line; rewrite the intact prefix so
     // the journal is clean JSONL again. The unit mid-write simply reruns.
     truncate_to(path_, scan.valid_bytes);
-    recovered_torn_tail_ = true;
   }
   for (const UnitRecord& rec : scan.records) completed_.insert(rec.unit);
 

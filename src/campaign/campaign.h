@@ -120,10 +120,6 @@ class ShardJournal {
   bool has(std::uint64_t unit) const {
     return completed_.count(unit) != 0;
   }
-  std::size_t num_completed() const { return completed_.size(); }
-  /// Whether construction found (and truncated) a torn tail.
-  bool recovered_torn_tail() const { return recovered_torn_tail_; }
-  const std::string& path() const { return path_; }
 
   /// Appends one unit line (no newline) and flushes. Thread-safe.
   void append(std::uint64_t unit, const std::string& line);
@@ -133,7 +129,6 @@ class ShardJournal {
   std::FILE* out_ = nullptr;
   std::mutex mutex_;
   std::unordered_set<std::uint64_t> completed_;
-  bool recovered_torn_tail_ = false;
 };
 
 struct RunOptions {

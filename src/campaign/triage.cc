@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/json.h"
+#include "fuzz/differential.h"
 
 namespace safespec::campaign {
 
@@ -125,10 +126,14 @@ std::string render_triage_text(const TriageReport& report,
                 static_cast<unsigned long long>(report.failures),
                 report.groups.size());
   out += line;
-  const std::string spec_suffix =
-      manifest != nullptr && !manifest->fuzz.spec.empty()
-          ? " --spec=" + manifest->fuzz.spec
-          : "";
+  std::string spec_path;
+  fuzz::DifferentialConfig axes;
+  if (manifest != nullptr) {
+    spec_path = manifest->fuzz.spec;
+    axes.policies = manifest->fuzz.policies;
+    axes.presets = manifest->fuzz.presets;
+    axes.cores = manifest->fuzz.cores;
+  }
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
     const TriageGroup& group = report.groups[g];
     std::snprintf(line, sizeof line,
@@ -147,9 +152,10 @@ std::string render_triage_text(const TriageReport& report,
       out += " ... (" + std::to_string(group.seeds.size() - shown) + " more)";
     }
     out += "\n";
-    out += "  repro:       fuzz_driver --seed=" +
-           std::to_string(group.first_seed) + " --count=1 --dump" +
-           spec_suffix + "\n";
+    out += "  repro:       " +
+           fuzz::repro_command("fuzz_driver", group.first_seed, spec_path,
+                               axes) +
+           "\n";
   }
   return out;
 }

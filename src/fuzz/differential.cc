@@ -70,7 +70,7 @@ namespace {
 ArchState oracle_state(const FuzzProgram& fp) {
   memory::MainMemory mem;
   memory::PageTable pt;
-  apply_address_space(fp, mem, pt);
+  memory::map_image(fp.regions, fp.init_words, mem, pt);
 
   // The reference state comes straight from the promoted functional
   // engine (the optimized form of the old in-order oracle).
@@ -159,12 +159,10 @@ SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
       sim::MachineSpec machine = sim::machine_preset(preset);
       machine.core.mutation = config.mutation;
       machine.core.cores = config.cores;
+      machine.regions = fp.regions;
+      machine.pokes = fp.init_words;
       sim::MachineBuilder builder(std::move(machine));
       builder.policy(policy);
-      for (const auto& region : fp.regions) {
-        builder.map_region(region.base, region.bytes, region.perm);
-      }
-      for (const auto& poke : fp.pokes) builder.poke(poke.addr, poke.value);
 
       const auto sim = builder.build(fp.program);
       const auto result =
@@ -212,6 +210,24 @@ SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
     }
   }
   return verdict;
+}
+
+std::string repro_command(const std::string& program, std::uint64_t seed,
+                          const std::string& spec_path,
+                          const DifferentialConfig& config) {
+  std::string out =
+      program + " --seed=" + std::to_string(seed) + " --count=1 --dump";
+  if (!spec_path.empty()) out += " --spec=" + spec_path;
+  if (config.cores != 1) out += " --cores=" + std::to_string(config.cores);
+  const auto list = [&out](const char* flag,
+                           const std::vector<std::string>& names) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      out += (i == 0 ? flag : ",") + names[i];
+    }
+  };
+  list(" --policies=", config.policies);
+  list(" --presets=", config.presets);
+  return out;
 }
 
 FuzzReport run_fuzz(std::uint64_t first_seed, int count,

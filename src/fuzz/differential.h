@@ -99,6 +99,14 @@ struct FuzzReport {
   bool ok() const { return failures.empty(); }
 };
 
+/// The command line that reruns `seed` alone and disassembles it:
+/// `program --seed=N --count=1 --dump`, then --spec=FILE when
+/// `spec_path` is set and each of --cores, --policies and --presets that
+/// differs from its default, so the repro checks the cells that failed.
+std::string repro_command(const std::string& program, std::uint64_t seed,
+                          const std::string& spec_path,
+                          const DifferentialConfig& config);
+
 /// Checks seeds [first_seed, first_seed + count) on the experiment
 /// engine's thread pool. The report is identical for any thread count.
 FuzzReport run_fuzz(std::uint64_t first_seed, int count,

@@ -283,20 +283,6 @@ struct Gen {
 
 }  // namespace
 
-void apply_address_space(const FuzzProgram& fp, memory::MainMemory& mem,
-                         memory::PageTable& page_table) {
-  for (const auto& region : fp.regions) {
-    const Addr first = page_of(region.base);
-    const Addr last = page_of(region.base + region.bytes - 1);
-    for (Addr page = first; page <= last; ++page) {
-      mem.map_page(page, region.perm);
-      page_table.map_identity(page,
-                              region.perm == memory::PagePerm::kKernel);
-    }
-  }
-  for (const auto& poke : fp.pokes) mem.write64(poke.addr, poke.value);
-}
-
 FuzzProgram generate_program(std::uint64_t seed, const FuzzSpec& spec) {
   spec.validate();
   Gen g(seed, spec);
@@ -325,20 +311,20 @@ FuzzProgram generate_program(std::uint64_t seed, const FuzzSpec& spec) {
     for (std::uint64_t i = words - 1; i > 0; --i) {
       std::swap(perm[i], perm[g.rng.below(i + 1)]);
     }
-    out.pokes.reserve(words + 48);
+    out.init_words.reserve(words + 48);
     for (std::uint64_t i = 0; i < words; ++i) {
-      out.pokes.push_back({g.chase_base + 8 * perm[i],
-                           8 * perm[(i + 1) % words]});
+      out.init_words.push_back({g.chase_base + 8 * perm[i],
+                                8 * perm[(i + 1) % words]});
     }
   }
   // Seed data so random loads see nonzero values, and kernel secrets so
   // speculative gadgets have something to leak.
   for (int i = 0; i < 32; ++i) {
-    out.pokes.push_back(
+    out.init_words.push_back(
         {kDataBase + 8 * g.rng.below(g.data_bytes / 8), g.rng.next()});
   }
   for (int i = 0; i < 16; ++i) {
-    out.pokes.push_back(
+    out.init_words.push_back(
         {kKernelBase + 8 * g.rng.below(spec.kernel_bytes / 8), g.rng.next()});
   }
 

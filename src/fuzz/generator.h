@@ -3,7 +3,7 @@
 // generate_program(seed, spec) deterministically emits one valid
 // micro-ISA program — a bounded outer loop over a weighted mix of
 // scenario blocks — together with the address-space setup (regions,
-// initial memory pokes) the program assumes. Programs are *total*: every
+// init words) the program assumes. Programs are *total*: every
 // architectural path re-masks its addresses into mapped regions and the
 // loop counter is never clobbered, so each program halts on its own well
 // inside any sane budget. Speculative paths, by contrast, are free to
@@ -21,18 +21,14 @@
 #include <vector>
 
 #include "fuzz/fuzz_spec.h"
-#include "isa/program.h"
-#include "memory/main_memory.h"
-#include "memory/page_table.h"
-#include "sim/machine.h"
+#include "workloads/workload.h"
 
 namespace safespec::fuzz {
 
-/// One generated program plus the address space it assumes.
-struct FuzzProgram {
-  isa::Program program;
-  std::vector<sim::MemRegion> regions;  ///< user data/chase + kernel secrets
-  std::vector<sim::Poke> pokes;         ///< chase links, secrets, seed data
+/// One generated program plus the address space it assumes: its regions
+/// (user data/chase, kernel secrets) and init words (chase links,
+/// secrets, seed data), as a workload image carries them.
+struct FuzzProgram : workloads::WorkloadImage {
   /// Scenario class of each emitted block, in program order (diagnostics
   /// for failing-seed reports).
   std::vector<std::string> classes;
@@ -44,12 +40,5 @@ struct FuzzProgram {
 /// Deterministically generates the program for `seed` under `spec`
 /// (validates the spec first).
 FuzzProgram generate_program(std::uint64_t seed, const FuzzSpec& spec);
-
-/// Sets up a bare memory system the way MachineBuilder sets up a
-/// simulator's: maps the program's regions (identity-translated) and
-/// applies its pokes. The oracle side of every differential run; tests
-/// use it to run generated programs standalone.
-void apply_address_space(const FuzzProgram& fp, memory::MainMemory& mem,
-                         memory::PageTable& page_table);
 
 }  // namespace safespec::fuzz

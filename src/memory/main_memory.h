@@ -35,6 +35,14 @@ struct Poke {
   std::uint64_t value = 0;
 };
 
+/// One mapped address-space region: a machine's memory-map entry, a
+/// workload's data region, a trace's region record.
+struct Region {
+  Addr base = 0;
+  std::uint64_t bytes = 0;
+  PagePerm perm = PagePerm::kUser;
+};
+
 /// Sparse 64-bit-word-granular physical memory with page permissions.
 ///
 /// Addresses given to read/write are byte addresses; storage is at 8-byte

@@ -48,4 +48,19 @@ std::vector<Addr> PageTable::walk_addresses(Addr vpage) const {
   return std::vector<Addr>(lines, lines + kWalkLevels);
 }
 
+void map_image(const std::vector<Region>& regions,
+               const std::vector<Poke>& pokes, MainMemory& mem,
+               PageTable& page_table) {
+  for (const Region& region : regions) {
+    const Addr first = page_of(region.base);
+    const Addr last =
+        page_of(region.base + (region.bytes == 0 ? 0 : region.bytes - 1));
+    for (Addr page = first; page <= last; ++page) {
+      mem.map_page(page, region.perm);
+      page_table.map_identity(page, region.perm == PagePerm::kKernel);
+    }
+  }
+  for (const Poke& poke : pokes) mem.write64(poke.addr, poke.value);
+}
+
 }  // namespace safespec::memory

@@ -66,4 +66,13 @@ class PageTable {
   PagedAddrMap<Translation> table_;
 };
 
+/// Sets up a program image's address space: every page of every region
+/// gets the region's permission in `mem` and an identity translation in
+/// `page_table` (a zero-byte region maps its base page), then the pokes
+/// are written in order. The one mapping loop behind MachineBuilder,
+/// Simulator::map_region_on and the differential oracle.
+void map_image(const std::vector<Region>& regions,
+               const std::vector<Poke>& pokes, MainMemory& mem,
+               PageTable& page_table);
+
 }  // namespace safespec::memory

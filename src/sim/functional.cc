@@ -76,24 +76,13 @@ bool FunctionalEngine::handle_fault() {
   return true;
 }
 
-void FunctionalEngine::log_word(Addr addr) {
-  const Addr word = addr & ~Addr{7};
-  if (delta_seen_.contains(word)) return;
-  delta_seen_[word] = 1;
-  delta_.push_back({word, mem_->read64(word), 0});
-}
-
-ArchCheckpoint FunctionalEngine::checkpoint() {
+ArchCheckpoint FunctionalEngine::checkpoint() const {
   ArchCheckpoint cp;
   std::copy(std::begin(regs_), std::end(regs_), cp.regs.begin());
   cp.pc = pc_;
   cp.committed = committed_;
   cp.faults = faults_;
   cp.started = started_;
-  for (auto& w : delta_) w.new_value = mem_->read64(w.addr);
-  cp.mem_delta = std::move(delta_);
-  delta_.clear();
-  delta_seen_.clear();
   return cp;
 }
 
@@ -104,8 +93,6 @@ void FunctionalEngine::restore(const ArchCheckpoint& cp) {
   committed_ = cp.committed;
   faults_ = cp.faults;
   started_ = cp.started;
-  delta_.clear();
-  delta_seen_.clear();
 }
 
 void FunctionalEngine::reset() {
@@ -115,22 +102,6 @@ void FunctionalEngine::reset() {
   faults_ = 0;
   started_ = false;
   invalidate_translations();
-  delta_.clear();
-  delta_seen_.clear();
-}
-
-void FunctionalEngine::record_memory_delta(bool on) {
-  record_delta_ = on;
-  delta_.clear();
-  delta_seen_.clear();
-}
-
-void FunctionalEngine::rollback_memory() {
-  for (auto it = delta_.rbegin(); it != delta_.rend(); ++it) {
-    mem_->write64(it->addr, it->old_value);
-  }
-  delta_.clear();
-  delta_seen_.clear();
 }
 
 StopReason FunctionalEngine::run(std::uint64_t max_instrs) {
@@ -190,7 +161,6 @@ StopReason FunctionalEngine::run(std::uint64_t max_instrs) {
           if (!handle_fault()) return StopReason::kFaultNoHandler;
           continue;
         }
-        if (record_delta_) log_word(paddr);
         mem_->write64(paddr, regs_[inst->src2]);
         break;
       }

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/addr_map.h"
 #include "common/types.h"
 #include "cpu/core.h"
 #include "isa/program.h"
@@ -45,32 +44,22 @@ namespace safespec::sim {
 
 /// Committed architectural state at a sample-window boundary, as emitted
 /// by FunctionalEngine::checkpoint() and consumed by
-/// Simulator::restore() / FunctionalEngine::restore().
+/// FunctionalEngine::restore() and Core::restore_arch.
 ///
-/// Memory is carried as a *delta*: the words written since the previous
-/// checkpoint (recorded only while record_memory_delta(true) is active —
-/// the shared-memory fast path leaves it empty because both engines
-/// mutate the same MainMemory). Microarchitectural warming state
-/// (caches, TLBs, predictors, shadows) is deliberately not captured: in
-/// sampled simulation it lives in the persistent detailed Core across
-/// windows, and each window's warmup interval re-warms whatever the
-/// fast-forwarded gap staled.
+/// Memory is not carried: in sampled simulation the engine and the
+/// detailed core share one MainMemory, so every store is already where
+/// the other side reads it (a caller that wants the image at a
+/// checkpoint copies the MainMemory, which is copy-on-write).
+/// Microarchitectural warming state (caches, TLBs, predictors, shadows)
+/// is deliberately not captured either: it lives in the persistent
+/// detailed Core across windows, and each window's warmup interval
+/// re-warms whatever the fast-forwarded gap staled.
 struct ArchCheckpoint {
   std::array<std::uint64_t, kNumArchRegs> regs{};
   Addr pc = 0;                  ///< next instruction to execute
   std::uint64_t committed = 0;  ///< instructions committed so far
   std::uint64_t faults = 0;     ///< architectural faults raised so far
   bool started = false;         ///< false = pristine (pc not yet valid)
-
-  /// One recorded memory word: enough to apply the delta forward onto a
-  /// cold memory image (new_value) or roll it back (old_value).
-  struct MemWrite {
-    Addr addr = 0;  ///< byte address of the 64-bit word
-    std::uint64_t old_value = 0;
-    std::uint64_t new_value = 0;
-  };
-  /// First-write-per-word since the previous checkpoint, in write order.
-  std::vector<MemWrite> mem_delta;
 };
 
 class FunctionalEngine {
@@ -97,27 +86,12 @@ class FunctionalEngine {
   Addr pc() const { return pc_; }
 
   // ---- checkpoints ------------------------------------------------------
-  /// Snapshots the architectural state. When delta recording is on, the
-  /// checkpoint carries every word written since the previous
-  /// checkpoint() (or since recording started) and a new delta epoch
-  /// begins.
-  ArchCheckpoint checkpoint();
+  /// Snapshots the architectural state (registers, pc, counters).
+  ArchCheckpoint checkpoint() const;
 
-  /// Restores registers, pc and counters from `cp` (memory is not
-  /// touched — apply cp.mem_delta to the target memory separately, or
-  /// use Simulator::restore which does both). Starts a new delta epoch.
+  /// Restores registers, pc and counters from `cp`; memory is not
+  /// touched.
   void restore(const ArchCheckpoint& cp);
-
-  /// Enables/disables memory-delta recording (default off: the sampled
-  /// fast path shares one MainMemory with the detailed core and needs no
-  /// delta). Turning it on starts a fresh epoch.
-  void record_memory_delta(bool on);
-
-  /// Rolls back every memory word written in the current epoch to its
-  /// value at the last checkpoint()/restore()/record start, and clears
-  /// the epoch. Requires recording to be on; registers/pc are untouched
-  /// (pair with restore()).
-  void rollback_memory();
 
   /// Drops cached translations. Call after remapping the page table
   /// between runs.
@@ -125,10 +99,10 @@ class FunctionalEngine {
 
   /// Back to the pristine post-construction state — zero registers and
   /// counters, next run() starts at the program entry, translations
-  /// dropped, delta epoch cleared. The predecoded text is kept (the
-  /// program is borrowed and immutable), which is the point: a cached
-  /// engine reset() + run() behaves bit-identically to a freshly
-  /// constructed one without re-paying the predecode pass.
+  /// dropped. The predecoded text is kept (the program is borrowed and
+  /// immutable), which is the point: a cached engine reset() + run()
+  /// behaves bit-identically to a freshly constructed one without
+  /// re-paying the predecode pass.
   void reset();
 
  private:
@@ -163,10 +137,6 @@ class FunctionalEngine {
   /// Fault dispatch: redirect to the handler, or end the run.
   bool handle_fault();
 
-  /// Records the word containing `addr` into the current delta epoch
-  /// (first write per word only). Called before the store mutates it.
-  void log_word(Addr addr);
-
   void predecode();
 
   const isa::Program* program_;
@@ -191,11 +161,6 @@ class FunctionalEngine {
   std::uint64_t committed_ = 0;
   std::uint64_t faults_ = 0;
   bool started_ = false;
-
-  // Memory-delta epoch (off by default; see record_memory_delta).
-  bool record_delta_ = false;
-  std::vector<ArchCheckpoint::MemWrite> delta_;  ///< old_value filled
-  AddrMap<char> delta_seen_;                     ///< word addr -> logged
 };
 
 }  // namespace safespec::sim

@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <stdexcept>
@@ -645,15 +646,6 @@ std::vector<std::string> machine_preset_names() {
   return preset_registry().names();
 }
 
-bool is_registered_machine_preset(const std::string& name) {
-  return preset_registry().contains(name);
-}
-
-void register_machine_preset(const std::string& name,
-                             std::function<MachineSpec()> factory) {
-  preset_registry().add(name, std::move(factory));
-}
-
 // ---- builder ----------------------------------------------------------------
 
 MachineBuilder::MachineBuilder() : spec_(machine_preset("skylake")) {}
@@ -692,10 +684,8 @@ std::unique_ptr<Simulator> MachineBuilder::build(isa::Program program) const {
   // Every core runs the same program over the same initial image: set
   // up core 0's once, then copy it to the other cores.
   if (spec_.map_text) sim->map_text_on(0);
-  for (const MemRegion& region : spec_.regions) {
-    sim->map_region_on(0, region.base, region.bytes, region.perm);
-  }
-  for (const Poke& poke : spec_.pokes) sim->poke_on(0, poke.addr, poke.value);
+  memory::map_image(spec_.regions, spec_.pokes, sim->memory(0),
+                    sim->page_table(0));
   for (int c = 1; c < sim->num_cores(); ++c) {
     sim->memory(c) = sim->memory(0);
     sim->page_table(c) = sim->page_table(0);

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,13 +30,7 @@
 
 namespace safespec::sim {
 
-/// One mapped address-space region.
-struct MemRegion {
-  Addr base = 0;
-  std::uint64_t bytes = 0;
-  memory::PagePerm perm = memory::PagePerm::kUser;
-};
-
+using MemRegion = memory::Region;  ///< one mapped address-space region
 using memory::Poke;  ///< one pre-run architectural memory write
 
 /// Declarative description of one simulated machine.
@@ -97,10 +90,6 @@ struct MachineSpec {
 /// listing every registered name when `name` is unknown.
 MachineSpec machine_preset(const std::string& name);
 std::vector<std::string> machine_preset_names();
-bool is_registered_machine_preset(const std::string& name);
-/// Registers a preset factory; throws std::invalid_argument if taken.
-void register_machine_preset(const std::string& name,
-                             std::function<MachineSpec()> factory);
 
 // ---- builder ----------------------------------------------------------------
 

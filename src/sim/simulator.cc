@@ -81,13 +81,7 @@ void Simulator::map_region(Addr base, std::uint64_t bytes,
 
 void Simulator::map_region_on(int c, Addr base, std::uint64_t bytes,
                               memory::PagePerm perm) {
-  const Addr first = page_of(base);
-  const Addr last = page_of(base + (bytes == 0 ? 0 : bytes - 1));
-  for (Addr page = first; page <= last; ++page) {
-    mem(c).map_page(page, perm);
-    ctx_[c]->page_table.map_identity(page,
-                                     perm == memory::PagePerm::kKernel);
-  }
+  memory::map_image({{base, bytes, perm}}, {}, mem(c), ctx_[c]->page_table);
 }
 
 void Simulator::map_text() {
@@ -200,14 +194,6 @@ cpu::StopReason Simulator::run_cores(Cycle max_cycles,
                           : cpu::StopReason::kFaultNoHandler;
 }
 
-void Simulator::restore(const ArchCheckpoint& cp) {
-  // The fast path records no delta (functional engine and core share
-  // core 0's memory, so stores are already applied); re-applying new
-  // values is idempotent either way.
-  for (const auto& w : cp.mem_delta) ctx_[0]->mem.write64(w.addr, w.new_value);
-  ctx_[0]->core->restore_arch(cp.regs, cp.pc);
-}
-
 SimResult Simulator::run_sampled(const SamplingSpec& spec, Cycle max_cycles,
                                  std::uint64_t max_instrs) {
   spec.validate();
@@ -266,7 +252,10 @@ SimResult Simulator::run_sampled(const SamplingSpec& spec, Cycle max_cycles,
     if (remaining == 0) break;
 
     // ---- detailed window: restore, warm up, measure --------------------
-    restore(engine.checkpoint());
+    // The engine stored into core 0's memory, so only the registers and
+    // pc cross over; warming state survives, as in Core::restart_at.
+    const ArchCheckpoint at = engine.checkpoint();
+    core0.restore_arch(at.regs, at.pc);
     if (spec.warmup_instrs > 0) {
       std::uint64_t commits = 0;
       Cycle cycles = 0;

@@ -29,7 +29,6 @@
 
 namespace safespec::sim {
 
-struct ArchCheckpoint;   // sim/functional.h
 class FunctionalEngine;  // sim/functional.h
 
 /// a - b clamped at zero: counter pairs sampled from different structures
@@ -218,12 +217,6 @@ class Simulator {
   SimResult run_sampled(const SamplingSpec& spec,
                         Cycle max_cycles = 50'000'000,
                         std::uint64_t max_instrs = ~0ULL);
-
-  /// Restores a functional-engine checkpoint into the detailed machine
-  /// (core 0): applies the memory delta (if any), installs the register
-  /// file, and restarts the core at cp.pc. Microarchitectural warming
-  /// state survives, as in Core::restart_at.
-  void restore(const ArchCheckpoint& cp);
 
   cpu::Core& core() { return *ctx_[0]->core; }
   const cpu::Core& core() const { return *ctx_[0]->core; }

@@ -213,10 +213,12 @@ std::vector<std::uint8_t> encode(const TraceImage& image, bool compress) {
                   image.init_words.size() * kTraceInitWordBytes +
                   image.records.size() * kTraceRecordBytes / 4 + 64);
 
-  for (const TraceRegion& region : image.regions) {
+  for (const memory::Region& region : image.regions) {
     put_u64(payload, region.base);
     put_u64(payload, region.bytes);
-    put_u64(payload, region.kernel ? 1 : 0);
+    put_u64(payload, region.perm == memory::PagePerm::kKernel
+                         ? kTraceRegionKernel
+                         : 0);
   }
   for (const memory::Poke& word : image.init_words) {
     put_u64(payload, word.addr);
@@ -357,8 +359,10 @@ void TraceReader::parse_front() {
   for (std::uint64_t i = 0; i < region_count; ++i) {
     read_exact(buf, kTraceRegionBytes, "region table");
     checksum_running_ = fnv1a64(buf, kTraceRegionBytes, checksum_running_);
-    regions_.push_back(
-        {get_u64(buf), get_u64(buf + 8), (get_u64(buf + 16) & 1) != 0});
+    regions_.push_back({get_u64(buf), get_u64(buf + 8),
+                        (get_u64(buf + 16) & kTraceRegionKernel) != 0
+                            ? memory::PagePerm::kKernel
+                            : memory::PagePerm::kUser});
   }
   init_words_.reserve(static_cast<std::size_t>(word_count));
   for (std::uint64_t i = 0; i < word_count; ++i) {

@@ -14,8 +14,8 @@
 //     and init words parsed up front, records streamed one chunk at a
 //     time so a multi-gigabyte trace never needs to be resident.
 //
-// The workload-facing glue (WorkloadImage/FuzzProgram conversions, the
-// "trace:" profile syntax) lives in src/trace/trace_workload.h.
+// The workload-facing glue (WorkloadImage conversions, the "trace:"
+// profile syntax) lives in src/trace/trace_workload.h.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +32,11 @@
 
 namespace safespec::trace {
 
-/// One mapped address-space region a trace assumes.
-struct TraceRegion {
-  Addr base = 0;
-  std::uint64_t bytes = 0;
-  bool kernel = false;  ///< kernel-only mapping (secret regions)
-};
-
 /// A complete trace in memory.
 struct TraceImage {
   Addr entry = 0;
   std::optional<Addr> fault_handler;
-  std::vector<TraceRegion> regions;
+  std::vector<memory::Region> regions;
   std::vector<memory::Poke> init_words;
   std::vector<TraceRecord> records;  ///< pc-ascending static stream
 
@@ -97,7 +90,7 @@ class TraceReader {
 
   Addr entry() const { return entry_; }
   const std::optional<Addr>& fault_handler() const { return fault_handler_; }
-  const std::vector<TraceRegion>& regions() const { return regions_; }
+  const std::vector<memory::Region>& regions() const { return regions_; }
   const std::vector<memory::Poke>& init_words() const { return init_words_; }
 
   std::uint64_t records_total() const { return records_total_; }
@@ -121,7 +114,7 @@ class TraceReader {
 
   Addr entry_ = 0;
   std::optional<Addr> fault_handler_;
-  std::vector<TraceRegion> regions_;
+  std::vector<memory::Region> regions_;
   std::vector<memory::Poke> init_words_;
   std::uint64_t records_total_ = 0;
   std::uint64_t records_read_ = 0;

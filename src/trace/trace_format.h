@@ -84,6 +84,9 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// Header flag: chunk payloads may be delta+RLE compressed.
 inline constexpr std::uint32_t kTraceFlagCompressed = 1u << 0;
 
+/// Region flag bit (third u64 of each region entry): kernel-only mapping.
+inline constexpr std::uint64_t kTraceRegionKernel = 1u << 0;
+
 /// Record flag bits (byte 14 of each record).
 inline constexpr std::uint8_t kTraceRecUseImm = 1u << 0;
 inline constexpr std::uint8_t kTraceRecStaticTaken = 1u << 1;

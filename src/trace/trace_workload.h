@@ -1,12 +1,13 @@
 // Workload-facing glue for the trace subsystem.
 //
-// Everything here converts between TraceImage and the two program
-// producers the repo already has — the synthetic SPEC generator
-// (workloads::WorkloadImage) and the differential fuzzer's
-// RandomProgramGenerator (fuzz::FuzzProgram) — plus the loader the
-// workload frontend calls when WorkloadProfile::trace_file names a
-// trace on disk. Keeping this out of trace.h keeps the codec free of
-// workloads/fuzz dependencies.
+// A trace and a workload image hold the same address-space setup (one
+// region type, one init-word type), so recording and replaying copy the
+// program's records and the two vectors. Every program producer — the
+// synthetic SPEC generator and the differential fuzzer, whose
+// fuzz::FuzzProgram is a WorkloadImage — records through
+// record_workload. The loader here is what the workload frontend calls
+// when WorkloadProfile::trace_file names a trace on disk. Keeping this
+// out of trace.h keeps the codec free of workloads dependencies.
 #pragma once
 
 #include <string>
@@ -14,24 +15,12 @@
 #include "trace/trace.h"
 #include "workloads/workload.h"
 
-namespace safespec::fuzz {
-struct FuzzProgram;
-}  // namespace safespec::fuzz
-
 namespace safespec::trace {
 
-/// Records a generated synthetic workload: program + its user data
-/// region + chase-link init words.
+/// Records a program image: its instructions, regions and init words.
 TraceImage record_workload(const workloads::WorkloadImage& image);
 
-/// Records a fuzz program: program + its user/kernel regions + pokes
-/// (chase links, kernel secrets, seeded data).
-TraceImage record_fuzz(const fuzz::FuzzProgram& fp);
-
-/// Rebuilds a replayable workload image from a trace. The result
-/// carries its address-space setup in WorkloadImage::regions /
-/// init_words (data_base/data_bytes stay zero — traces may map
-/// several regions with distinct permissions).
+/// Rebuilds a replayable workload image from a trace.
 workloads::WorkloadImage to_workload_image(const TraceImage& image);
 
 /// read_trace_file + to_workload_image. The workload generator calls

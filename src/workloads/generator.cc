@@ -69,7 +69,6 @@ WorkloadImage generate(const WorkloadProfile& profile,
   }
   Rng rng(profile.seed);
   WorkloadImage image;
-  image.data_base = kDataBase;
 
   const std::uint64_t footprint = floor_pow2(
       std::max<std::uint64_t>(profile.data_footprint, 2 * kPageSize));
@@ -78,7 +77,8 @@ WorkloadImage generate(const WorkloadProfile& profile,
           ? 0
           : floor_pow2(std::max<std::uint64_t>(profile.chase_footprint,
                                                kPageSize));
-  image.data_bytes = footprint + chase_bytes;
+  image.regions.push_back(
+      {kDataBase, footprint + chase_bytes, memory::PagePerm::kUser});
   const Addr chase_base = kDataBase + footprint;
 
   // Pointer-chase region: a random cycle over the chase words, so chased

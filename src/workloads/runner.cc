@@ -18,16 +18,7 @@ std::unique_ptr<sim::Simulator> make_image_sim(
   // grids); the strict §V bound is enforced on user-authored specs by
   // resolve_machine / from_json, not on this internal path.
   spec.allow_undersized_shadows = true;
-  // Trace-loaded images carry their address space in `regions` and have
-  // no data_base region (validate() rejects zero-byte regions).
-  if (image.data_bytes != 0) {
-    spec.regions.push_back({image.data_base, image.data_bytes});
-  }
-  for (const WorkloadRegion& region : image.regions) {
-    spec.regions.push_back({region.base, region.bytes,
-                            region.kernel ? memory::PagePerm::kKernel
-                                          : memory::PagePerm::kUser});
-  }
+  spec.regions = std::move(image.regions);
   spec.pokes = std::move(image.init_words);
   return sim::MachineBuilder{std::move(spec)}.build(std::move(image.program));
 }

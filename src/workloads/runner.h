@@ -18,10 +18,10 @@ std::unique_ptr<sim::Simulator> make_workload_sim(
     std::uint64_t target_instrs);
 
 /// Builds the simulator for an already-materialised image (the
-/// generate() half of make_workload_sim factored out): maps the data
-/// region and every extra region, applies the init words. Used directly
-/// by trace round-trip verification, where the image comes from a trace
-/// file rather than the generator.
+/// generate() half of make_workload_sim factored out): maps its regions
+/// and applies its init words. Used directly by trace round-trip
+/// verification, where the image comes from a trace file rather than the
+/// generator.
 std::unique_ptr<sim::Simulator> make_image_sim(WorkloadImage image,
                                                const cpu::CoreConfig& config);
 

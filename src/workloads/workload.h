@@ -59,27 +59,17 @@ struct WorkloadProfile {
   std::string trace_file;
 };
 
-/// One extra mapped region a workload needs beyond data_base/data_bytes
-/// (trace-loaded workloads carry their full region list, including
-/// kernel-only secret regions recorded from fuzz programs).
-struct WorkloadRegion {
-  Addr base = 0;
-  std::uint64_t bytes = 0;
-  bool kernel = false;
-};
-
-/// A generated benchmark: the program plus everything needed to set up
-/// the address space.
+/// A program image: the program plus everything needed to set up its
+/// address space. The generator emits one user data region; trace-loaded
+/// images carry their recorded region list (kernel-only secret regions of
+/// fuzz programs included), and fuzz::FuzzProgram is one of these.
 struct WorkloadImage {
   isa::Program program;
-  Addr data_base = 0;
-  std::uint64_t data_bytes = 0;  ///< map [data_base, +data_bytes) as user
+  std::vector<memory::Region> regions;  ///< mapped identity-translated
   /// Initial memory words (pointer-chase permutation links), in the
   /// order they are written; make_image_sim hands them to the machine as
   /// its pokes.
   std::vector<memory::Poke> init_words;
-  /// Additional regions to map (empty for synthetic workloads).
-  std::vector<WorkloadRegion> regions;
 };
 
 /// Generates a program whose committed instruction count is approximately

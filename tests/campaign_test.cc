@@ -361,6 +361,20 @@ TEST(Triage, ShardSplitReproducesTheSameReport) {
             std::string::npos);
 }
 
+TEST(Triage, ReproLineKeepsTheCampaignAxes) {
+  // A failure seen only at cores=2 must get a repro that runs cores=2.
+  Manifest m = fuzz_manifest("triage_cores", 2, 1, "commit-xor");
+  m.fuzz.cores = 2;
+  const std::string dir = scratch_dir("triage_cores");
+  RunOptions options;
+  options.threads = 2;
+  run_shard(m, dir, 0, options);
+  EXPECT_NE(render_triage_text(triage(m, dir), &m)
+                .find("  repro:       fuzz_driver --seed=1 --count=1 --dump "
+                      "--cores=2 --policies=baseline --presets=skylake\n"),
+            std::string::npos);
+}
+
 TEST(Triage, CleanCampaignHasNoGroups) {
   const Manifest m = fuzz_manifest("clean", 4, 1);
   const std::string dir = scratch_dir("triage_clean");

@@ -1,9 +1,9 @@
 // Tests for the functional engine and sampled simulation: the engine's
 // equivalence with the detailed core across every fuzz scenario class,
 // checkpoint equivalence at arbitrary window boundaries, checkpoint
-// save/restore round-trips (including mid-fault-handler state and the
-// memory-delta rollback path), the ff=0 bit-identity guarantee, sampled
-// IPC-estimate sanity, and translation-cache invalidation.
+// save/restore round-trips (including mid-fault-handler state), the ff=0
+// bit-identity guarantee, sampled IPC-estimate sanity, and
+// translation-cache invalidation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,7 +65,7 @@ void expect_equal(const FinalState& a, const FinalState& b,
 FinalState engine_final_state(const FuzzProgram& fp) {
   memory::MainMemory mem;
   memory::PageTable pt;
-  fuzz::apply_address_space(fp, mem, pt);
+  memory::map_image(fp.regions, fp.init_words, mem, pt);
   FunctionalEngine engine(&fp.program, &mem, &pt);
   FinalState state;
   state.stop = engine.run(fp.max_instrs_hint);
@@ -80,13 +80,12 @@ FinalState engine_final_state(const FuzzProgram& fp) {
 }
 
 std::unique_ptr<sim::Simulator> detailed_sim(const FuzzProgram& fp) {
-  sim::MachineBuilder builder = sim::MachineBuilder::from_preset("skylake");
-  builder.policy("baseline");
-  for (const auto& region : fp.regions) {
-    builder.map_region(region.base, region.bytes, region.perm);
-  }
-  for (const auto& poke : fp.pokes) builder.poke(poke.addr, poke.value);
-  return builder.build(fp.program);
+  sim::MachineSpec spec = sim::machine_preset("skylake");
+  spec.regions = fp.regions;
+  spec.pokes = fp.init_words;
+  return sim::MachineBuilder(std::move(spec))
+      .policy("baseline")
+      .build(fp.program);
 }
 
 FinalState detailed_final_state(const FuzzProgram& fp) {
@@ -150,7 +149,7 @@ TEST(FunctionalEquivalenceTest, AgreesAtEveryChunkBoundary) {
 
   memory::MainMemory mem;
   memory::PageTable pt;
-  fuzz::apply_address_space(fp, mem, pt);
+  memory::map_image(fp.regions, fp.init_words, mem, pt);
   FunctionalEngine engine(&fp.program, &mem, &pt);
 
   const auto sim = detailed_sim(fp);
@@ -189,27 +188,26 @@ TEST(FunctionalEquivalenceTest, AgreesAtEveryChunkBoundary) {
 // ---- checkpoint round-trips -----------------------------------------------
 
 /// Checkpoints taken mid-run — including with pending fault-handler
-/// state — must restore onto a *fresh* engine and memory image (via the
-/// recorded memory delta) and replay to the identical final state.
+/// state — must restore onto a *fresh* engine over a copy of the memory
+/// image taken at the checkpoint and replay to the identical final state.
 TEST(CheckpointTest, RoundTripsThroughMidFaultHandlerState) {
-  // All scenario classes (mem_storm supplies stores for the delta) with
-  // every protected_window block committing a recoverable fault.
+  // All scenario classes (mem_storm supplies stores) with every
+  // protected_window block committing a recoverable fault.
   FuzzSpec spec;
   spec.fault_frac = 1.0;
   spec.install_fault_handler = true;
   spec.loop_iterations = 10;  // leave plenty of program past the fault
-  // Seed 3 (under this spec): faults early, writes memory before the
-  // checkpoint, and keeps running well past it.
+  // Seed 3 (under this spec): faults early and keeps running, and
+  // storing, well past the checkpoint.
   const FuzzProgram fp = fuzz::generate_program(3, spec);
 
-  // Reference run: record the delta, checkpoint once the fault handler
-  // has fired (plus a little headroom so stores land in the delta), then
-  // run to completion.
+  // Reference run: checkpoint once the fault handler has fired (plus a
+  // little headroom), copy the memory image there, then run to
+  // completion.
   memory::MainMemory mem_a;
-  memory::PageTable pt_a;
-  fuzz::apply_address_space(fp, mem_a, pt_a);
-  FunctionalEngine a(&fp.program, &mem_a, &pt_a);
-  a.record_memory_delta(true);
+  memory::PageTable pt;
+  memory::map_image(fp.regions, fp.init_words, mem_a, pt);
+  FunctionalEngine a(&fp.program, &mem_a, &pt);
   auto stop = cpu::StopReason::kMaxInstrs;
   while (a.faults() == 0 && stop == cpu::StopReason::kMaxInstrs) {
     stop = a.run(25);
@@ -219,10 +217,11 @@ TEST(CheckpointTest, RoundTripsThroughMidFaultHandlerState) {
       << "program ended before a checkpoint could be taken";
   ASSERT_EQ(a.run(500), cpu::StopReason::kMaxInstrs)
       << "program ended before a checkpoint could be taken";
-  ArchCheckpoint cp = a.checkpoint();
+  const ArchCheckpoint cp = a.checkpoint();
   EXPECT_TRUE(cp.started);
   EXPECT_GT(cp.faults, 0u);
-  EXPECT_FALSE(cp.mem_delta.empty());
+  memory::MainMemory mem_b = mem_a;  // copy-on-write: shares until a store
+  const auto at_checkpoint = mem_b.nonzero_words();
 
   FinalState final_a;
   final_a.stop = a.run(fp.max_instrs_hint);
@@ -233,13 +232,14 @@ TEST(CheckpointTest, RoundTripsThroughMidFaultHandlerState) {
         a.reg(static_cast<RegIndex>(r));
   }
   final_a.memory = mem_a.nonzero_words();
+  // The run stores after the checkpoint, and the copy kept the image of
+  // the checkpoint: otherwise the replay below would not test the copy.
+  ASSERT_NE(final_a.memory, at_checkpoint)
+      << "no store after the checkpoint";
+  ASSERT_EQ(mem_b.nonzero_words(), at_checkpoint);
 
-  // Cold restore: fresh engine + memory, delta applied forward.
-  memory::MainMemory mem_b;
-  memory::PageTable pt_b;
-  fuzz::apply_address_space(fp, mem_b, pt_b);
-  FunctionalEngine b(&fp.program, &mem_b, &pt_b);
-  for (const auto& w : cp.mem_delta) mem_b.write64(w.addr, w.new_value);
+  // Cold restore: fresh engine over the checkpoint's memory image.
+  FunctionalEngine b(&fp.program, &mem_b, &pt);
   b.restore(cp);
   ASSERT_EQ(b.committed(), cp.committed);
   ASSERT_EQ(b.pc(), cp.pc);
@@ -254,21 +254,6 @@ TEST(CheckpointTest, RoundTripsThroughMidFaultHandlerState) {
   }
   final_b.memory = mem_b.nonzero_words();
   expect_equal(final_a, final_b, "cold restore replay");
-
-  // Warm rewind: roll the reference engine's memory back to the
-  // checkpoint, restore, and replay — determinism on the same instance.
-  a.rollback_memory();
-  a.restore(cp);
-  FinalState final_c;
-  final_c.stop = a.run(fp.max_instrs_hint);
-  final_c.committed = a.committed();
-  final_c.faults = a.faults();
-  for (int r = 0; r < kNumArchRegs; ++r) {
-    final_c.regs[static_cast<std::size_t>(r)] =
-        a.reg(static_cast<RegIndex>(r));
-  }
-  final_c.memory = mem_a.nonzero_words();
-  expect_equal(final_a, final_c, "rollback + restore replay");
 }
 
 // ---- ff=0 bit-identity ----------------------------------------------------

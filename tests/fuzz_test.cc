@@ -339,10 +339,10 @@ TEST(GeneratorTest, DeterministicForSameSeed) {
   const auto b = generate_program(42, spec);
   EXPECT_EQ(isa::to_string(a.program), isa::to_string(b.program));
   EXPECT_EQ(a.classes, b.classes);
-  ASSERT_EQ(a.pokes.size(), b.pokes.size());
-  for (std::size_t i = 0; i < a.pokes.size(); ++i) {
-    EXPECT_EQ(a.pokes[i].addr, b.pokes[i].addr);
-    EXPECT_EQ(a.pokes[i].value, b.pokes[i].value);
+  ASSERT_EQ(a.init_words.size(), b.init_words.size());
+  for (std::size_t i = 0; i < a.init_words.size(); ++i) {
+    EXPECT_EQ(a.init_words[i].addr, b.init_words[i].addr);
+    EXPECT_EQ(a.init_words[i].value, b.init_words[i].value);
   }
 }
 
@@ -359,7 +359,7 @@ TEST(GeneratorTest, GeneratedProgramsHaltWithinHint) {
     const auto fp = generate_program(seed, spec);
     memory::MainMemory mem;
     memory::PageTable pt;
-    apply_address_space(fp, mem, pt);
+    memory::map_image(fp.regions, fp.init_words, mem, pt);
     FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted)
         << "seed " << seed;
@@ -385,7 +385,7 @@ TEST(GeneratorTest, FaultingScenariosActuallyFault) {
     const auto fp = generate_program(seed, spec);
     memory::MainMemory mem;
     memory::PageTable pt;
-    apply_address_space(fp, mem, pt);
+    memory::map_image(fp.regions, fp.init_words, mem, pt);
     FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted);
     total_faults += oracle.faults();
@@ -465,12 +465,11 @@ TEST(DifferentialTest, GeneratedProgramsExerciseSpeculation) {
   // The shadow-drain invariant only has teeth if squashes happen; check
   // a real cell misspeculates.
   const auto fp = generate_program(1, FuzzSpec{});
-  auto builder = sim::MachineBuilder::from_preset("skylake").policy("WFC");
-  for (const auto& region : fp.regions) {
-    builder.map_region(region.base, region.bytes, region.perm);
-  }
-  for (const auto& poke : fp.pokes) builder.poke(poke.addr, poke.value);
-  const auto sim = builder.build(fp.program);
+  sim::MachineSpec machine = sim::machine_preset("skylake");
+  machine.regions = fp.regions;
+  machine.pokes = fp.init_words;
+  const auto sim =
+      sim::MachineBuilder(std::move(machine)).policy("WFC").build(fp.program);
   const auto result = sim->run(4'000'000, 4 * fp.max_instrs_hint);
   EXPECT_EQ(result.stop, cpu::StopReason::kHalted);
   EXPECT_GT(result.mispredicts, 0u);
@@ -485,6 +484,56 @@ TEST(DifferentialTest, PolicyAndPresetSubsetsAreHonoured) {
   const auto verdict = check_seed(3, spec, config);
   EXPECT_TRUE(verdict.ok);
   EXPECT_EQ(verdict.cells, 1u);
+}
+
+/// The oracle's address space (memory::map_image on a bare memory and
+/// page table) must be every cell's initial core 0 image: the same
+/// nonzero words, and on every region page the same permission and
+/// identity translation.
+TEST(DifferentialTest, OracleImageMatchesBuiltCoreZero) {
+  for (const std::uint64_t seed : {1, 7, 42, 99}) {
+    SCOPED_TRACE(seed);
+    const auto fp = generate_program(seed, FuzzSpec{});
+    memory::MainMemory mem;
+    memory::PageTable pt;
+    memory::map_image(fp.regions, fp.init_words, mem, pt);
+    sim::MachineSpec machine = sim::machine_preset("skylake");
+    machine.regions = fp.regions;
+    machine.pokes = fp.init_words;
+    const auto sim = sim::MachineBuilder(std::move(machine)).build(fp.program);
+
+    ASSERT_FALSE(mem.nonzero_words().empty());
+    EXPECT_EQ(mem.nonzero_words(), sim->memory().nonzero_words());
+    for (const memory::Region& region : fp.regions) {
+      const bool kernel = region.perm == memory::PagePerm::kKernel;
+      for (Addr page = page_of(region.base);
+           page <= page_of(region.base + region.bytes - 1); ++page) {
+        for (const auto& [m, t] :
+             {std::pair{&mem, &pt},
+              std::pair{&sim->memory(), &sim->page_table()}}) {
+          ASSERT_TRUE(m->page_perm(page) == region.perm) << "page " << page;
+          const memory::Translation xlat = t->translate(page);
+          ASSERT_TRUE(xlat.present) << "page " << page;
+          ASSERT_EQ(xlat.ppage, page);
+          ASSERT_EQ(xlat.kernel_only, kernel) << "page " << page;
+        }
+      }
+    }
+  }
+}
+
+/// A repro line names every axis that differs from fuzz_driver's
+/// defaults, and nothing else.
+TEST(DifferentialTest, ReproCommandCarriesNonDefaultAxes) {
+  DifferentialConfig config;
+  EXPECT_EQ(repro_command("fuzz_driver", 5, "", config),
+            "fuzz_driver --seed=5 --count=1 --dump");
+  config.cores = 2;
+  config.policies = {"WFB", "WFC"};
+  config.presets = {"embedded"};
+  EXPECT_EQ(repro_command("./fuzz_driver", 5, "f.json", config),
+            "./fuzz_driver --seed=5 --count=1 --dump --spec=f.json "
+            "--cores=2 --policies=WFB,WFC --presets=embedded");
 }
 
 // ---- mutation testing: the harness must catch a corrupted core ------------

@@ -55,19 +55,6 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.regs, b.regs);
 }
 
-/// FuzzProgram -> WorkloadImage without going anywhere near the trace
-/// codec — the reference side of the fuzz round-trip tests.
-workloads::WorkloadImage image_of(const fuzz::FuzzProgram& fp) {
-  workloads::WorkloadImage image;
-  image.program = fp.program;
-  for (const sim::MemRegion& region : fp.regions) {
-    image.regions.push_back({region.base, region.bytes,
-                             region.perm == memory::PagePerm::kKernel});
-  }
-  image.init_words = fp.pokes;
-  return image;
-}
-
 // ---- codec ------------------------------------------------------------------
 
 TEST(TraceCodec, ImageSurvivesEncodeDecode) {
@@ -85,7 +72,7 @@ TEST(TraceCodec, ImageSurvivesEncodeDecode) {
   for (std::size_t i = 0; i < image.regions.size(); ++i) {
     EXPECT_EQ(back.regions[i].base, image.regions[i].base);
     EXPECT_EQ(back.regions[i].bytes, image.regions[i].bytes);
-    EXPECT_EQ(back.regions[i].kernel, image.regions[i].kernel);
+    EXPECT_EQ(back.regions[i].perm, image.regions[i].perm);
   }
   ASSERT_EQ(back.init_words.size(), image.init_words.size());
   for (std::size_t i = 0; i < image.init_words.size(); ++i) {
@@ -229,9 +216,9 @@ TEST(TraceReplay, FileRoundTripIsBitIdenticalPerFuzzScenarioClass) {
     const auto fp = fuzz::generate_program(7, spec);
     const std::string path =
         ::testing::TempDir() + "trace_test_" + scenario.name + ".trace";
-    trace::write_trace_file(path, trace::record_fuzz(fp));
+    trace::write_trace_file(path, trace::record_workload(fp));
 
-    expect_identical(run_image(image_of(fp), config, 0),
+    expect_identical(run_image(fp, config, 0),
                      run_image(trace::load_workload(path), config, 0));
     std::remove(path.c_str());
   }

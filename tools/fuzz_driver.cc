@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
           const std::string path =
               count == 1 ? trace_path
                          : trace_path + "." + std::to_string(first_seed + i);
-          trace::write_trace_file(path, trace::record_fuzz(fp));
+          trace::write_trace_file(path, trace::record_workload(fp));
           std::printf("trace: wrote %s\n", path.c_str());
         }
       }
@@ -147,9 +147,9 @@ int main(int argc, char** argv) {
     for (const auto& violation : failure.violations) {
       std::printf("  %s\n", violation.c_str());
     }
-    std::printf("  repro: %s --seed=%llu --count=1 --dump%s%s\n", argv[0],
-                static_cast<unsigned long long>(failure.seed),
-                spec_path.empty() ? "" : " --spec=", spec_path.c_str());
+    std::printf("  repro: %s\n",
+                fuzz::repro_command(argv[0], failure.seed, spec_path, config)
+                    .c_str());
   }
 
   std::printf(

@@ -49,17 +49,6 @@ void usage(const char* prog, std::FILE* out) {
       prog, prog);
 }
 
-workloads::WorkloadImage image_of(const fuzz::FuzzProgram& fp) {
-  workloads::WorkloadImage image;
-  image.program = fp.program;
-  for (const sim::MemRegion& region : fp.regions) {
-    image.regions.push_back({region.base, region.bytes,
-                             region.perm == memory::PagePerm::kKernel});
-  }
-  image.init_words = fp.pokes;
-  return image;
-}
-
 struct RunSummary {
   sim::SimResult result;
   std::uint64_t regs[kNumArchRegs] = {};
@@ -88,11 +77,11 @@ int print_info(const std::string& path) {
   std::printf("  records        %llu\n",
               static_cast<unsigned long long>(reader.records_total()));
   std::printf("  regions        %zu\n", reader.regions().size());
-  for (const trace::TraceRegion& region : reader.regions()) {
+  for (const memory::Region& region : reader.regions()) {
     std::printf("    [0x%llx, +0x%llx) %s\n",
                 static_cast<unsigned long long>(region.base),
                 static_cast<unsigned long long>(region.bytes),
-                region.kernel ? "kernel" : "user");
+                region.perm == memory::PagePerm::kKernel ? "kernel" : "user");
   }
   std::printf("  init words     %zu\n", reader.init_words().size());
   // Drain the records so the checksum is verified — --info doubles as an
@@ -154,7 +143,7 @@ int main(int argc, char** argv) {
       if (!fuzz_spec_path.empty()) {
         spec = fuzz::FuzzSpec::from_json_file(fuzz_spec_path);
       }
-      original = image_of(fuzz::generate_program(fuzz_seed, spec));
+      original = fuzz::generate_program(fuzz_seed, spec);
     }
 
     const trace::TraceImage image = trace::record_workload(original);
