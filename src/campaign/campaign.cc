@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/cli.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "cpu/core.h"
@@ -53,15 +55,12 @@ void read_string_list(const json::Value& obj, const char* key,
   }
 }
 
-cpu::MutationHooks mutation_hooks(const std::string& mutate) {
-  cpu::MutationHooks hooks;
-  if (mutate == "commit-xor") {
-    hooks.commit_xor = 1;
-  } else if (mutate == "skip-squash-release") {
-    hooks.skip_squash_release = true;
-  }
-  return hooks;
-}
+/// The mutants: each named core defect a fuzz campaign can inject
+/// (FuzzAxis::mutate, fuzz_driver --mutate) and the hooks that inject it.
+const std::map<std::string, cpu::MutationHooks> kMutants = {
+    {"commit-xor", {/*skip_squash_release=*/false, /*commit_xor=*/1}},
+    {"skip-squash-release", {/*skip_squash_release=*/true, /*commit_xor=*/0}},
+};
 
 /// Grid unit -> its cell, workload-major (see GridAxis). The grid has no
 /// cores axis, so the cell keeps the machine's own core count: a cores=N
@@ -172,6 +171,13 @@ ScanResult scan_journal(const std::string& path, const Manifest& m,
   return scan;
 }
 
+/// Appends `line` and a newline to `out` and flushes; false when either
+/// fails.
+bool put_line(std::FILE* out, const std::string& line) {
+  return std::fprintf(out, "%s\n", line.c_str()) >= 0 &&
+         std::fflush(out) == 0;
+}
+
 /// Rewrites `path` to its first `valid_bytes` bytes, atomically.
 void truncate_to(const std::string& path, std::size_t valid_bytes) {
   std::string data;
@@ -186,13 +192,12 @@ void truncate_to(const std::string& path, std::size_t valid_bytes) {
     data.resize(got);
   }
   const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
+  const auto write = [&data](std::FILE* out) {
+    std::fwrite(data.data(), 1, data.size(), out);
+  };
+  if (!cli::write_file(tmp, write, "wb")) {
     throw std::runtime_error("cannot write " + tmp);
   }
-  if (!data.empty()) std::fwrite(data.data(), 1, data.size(), out);
-  std::fflush(out);
-  std::fclose(out);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("cannot replace " + path);
   }
@@ -294,11 +299,14 @@ void Manifest::validate() const {
     if (fuzz.cores < 1 || fuzz.cores > 64) {
       throw std::invalid_argument("fuzz.cores must be in [1, 64]");
     }
-    if (!fuzz.mutate.empty() && fuzz.mutate != "commit-xor" &&
-        fuzz.mutate != "skip-squash-release") {
-      throw std::invalid_argument(
-          "fuzz.mutate must be \"\", \"commit-xor\" or "
-          "\"skip-squash-release\"");
+    if (!fuzz.mutate.empty() && kMutants.count(fuzz.mutate) == 0) {
+      std::string known;
+      for (const auto& [name, hooks] : kMutants) {
+        known += (known.empty() ? "" : ", ") + name;
+      }
+      throw std::invalid_argument("fuzz.mutate \"" + fuzz.mutate +
+                                  "\" is not a mutant (known: " + known +
+                                  ")");
     }
     // Resolve every name eagerly so a typo fails before any shard runs.
     for (const std::string& p : fuzz.policies) policy::named_policy(p);
@@ -376,9 +384,9 @@ ShardJournal::ShardJournal(const Manifest& manifest, const std::string& dir,
     throw std::runtime_error("cannot open " + path_ +
                              " (does the campaign directory exist?)");
   }
-  if (!scan.have_header) {
-    std::fprintf(out_, "%s\n", header_line(manifest, shard).c_str());
-    std::fflush(out_);
+  if (!scan.have_header && !put_line(out_, header_line(manifest, shard))) {
+    std::fclose(out_);
+    throw std::runtime_error("cannot write " + path_);
   }
 }
 
@@ -388,73 +396,56 @@ ShardJournal::~ShardJournal() {
 
 void ShardJournal::append(std::uint64_t unit, const std::string& line) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::fprintf(out_, "%s\n", line.c_str());
-  std::fflush(out_);
+  if (!put_line(out_, line)) {
+    throw std::runtime_error("cannot append to " + path_);
+  }
   completed_.insert(unit);
 }
 
 // ---- run --------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t run_fuzz_units(const Manifest& m,
-                             const std::vector<std::uint64_t>& pending,
-                             ShardJournal& journal, int threads) {
-  fuzz::FuzzSpec spec;
-  if (!m.fuzz.spec.empty()) {
-    spec = fuzz::FuzzSpec::from_json_file(m.fuzz.spec);
+UnitRunner::UnitRunner(const Manifest& manifest) : manifest_(manifest) {
+  if (manifest.kind != "fuzz") return;
+  if (!manifest.fuzz.spec.empty()) {
+    spec_ = fuzz::FuzzSpec::from_json_file(manifest.fuzz.spec);
   }
-  spec.validate();
-  fuzz::DifferentialConfig config;
-  config.policies = m.fuzz.policies;
-  config.presets = m.fuzz.presets;
-  config.cores = m.fuzz.cores;
-  config.mutation = mutation_hooks(m.fuzz.mutate);
-
-  std::atomic<std::uint64_t> failures{0};
-  experiment::ParallelRunner(threads).parallel_for(
-      pending.size(), [&](std::size_t i) {
-        const std::uint64_t unit = pending[i];
-        const std::uint64_t seed = m.fuzz.first_seed + unit;
-        const fuzz::SeedVerdict v = fuzz::check_seed(seed, spec, config);
-        // Simulated data only — no wall times, no host identity — so the
-        // line is a pure function of (manifest, unit) and merges
-        // byte-identically across kills, resumes and shard splits.
-        journal.append(unit, json::JsonlObject()
-                                 .u64("unit", unit)
-                                 .u64("seed", seed)
-                                 .boolean("ok", v.ok)
-                                 .u64("committed", v.committed)
-                                 .u64("cells", v.cells)
-                                 .strings("violations", v.violations)
-                                 .str());
-        if (!v.ok) failures.fetch_add(1);
-      });
-  return failures.load();
+  spec_.validate();
+  config_.policies = manifest.fuzz.policies;
+  config_.presets = manifest.fuzz.presets;
+  config_.cores = manifest.fuzz.cores;
+  if (!manifest.fuzz.mutate.empty()) {
+    config_.mutation = kMutants.at(manifest.fuzz.mutate);
+  }
 }
 
-void run_grid_units(const Manifest& m,
-                    const std::vector<std::uint64_t>& pending,
-                    ShardJournal& journal, int threads) {
-  experiment::ParallelRunner(threads).parallel_for(
-      pending.size(), [&](std::size_t i) {
-        const std::uint64_t unit = pending[i];
-        const experiment::Cell cell = grid_cell(m.grid, unit);
-        const sim::SimResult result = experiment::run_cell(cell).result;
-        journal.append(unit, json::JsonlObject()
-                                 .u64("unit", unit)
-                                 .text("workload", cell.workload)
-                                 .text("policy", cell.policy)
-                                 .text("preset", cell.preset)
-                                 .text("stop", cpu::to_string(result.stop))
-                                 .u64("cycles", result.cycles)
-                                 .u64("committed", result.committed_instrs)
-                                 .number("ipc", result.ipc)
-                                 .str());
-      });
+UnitResult UnitRunner::run(std::uint64_t unit) const {
+  if (manifest_.kind == "fuzz") {
+    const std::uint64_t seed = manifest_.fuzz.first_seed + unit;
+    const fuzz::SeedVerdict v = fuzz::check_seed(seed, spec_, config_);
+    return {json::JsonlObject()
+                .u64("unit", unit)
+                .u64("seed", seed)
+                .boolean("ok", v.ok)
+                .u64("committed", v.committed)
+                .u64("cells", v.cells)
+                .strings("violations", v.violations)
+                .str(),
+            !v.ok};
+  }
+  const experiment::Cell cell = grid_cell(manifest_.grid, unit);
+  const sim::SimResult result = experiment::run_cell(cell).result;
+  return {json::JsonlObject()
+              .u64("unit", unit)
+              .text("workload", cell.workload)
+              .text("policy", cell.policy)
+              .text("preset", cell.preset)
+              .text("stop", cpu::to_string(result.stop))
+              .u64("cycles", result.cycles)
+              .u64("committed", result.committed_instrs)
+              .number("ipc", result.ipc)
+              .str(),
+          false};
 }
-
-}  // namespace
 
 RunStats run_shard(const Manifest& manifest, const std::string& dir,
                    int shard, const RunOptions& options) {
@@ -476,12 +467,15 @@ RunStats run_shard(const Manifest& manifest, const std::string& dir,
   }
   stats.ran = pending.size();
 
-  if (manifest.kind == "fuzz") {
-    stats.failures =
-        run_fuzz_units(manifest, pending, journal, options.threads);
-  } else {
-    run_grid_units(manifest, pending, journal, options.threads);
-  }
+  const UnitRunner runner(manifest);
+  std::atomic<std::uint64_t> failures{0};
+  experiment::ParallelRunner(options.threads)
+      .parallel_for(pending.size(), [&](std::size_t i) {
+        const UnitResult result = runner.run(pending[i]);
+        journal.append(pending[i], result.line);
+        if (result.failed) failures.fetch_add(1);
+      });
+  stats.failures = failures.load();
   return stats;
 }
 
@@ -538,18 +532,17 @@ MergeStats merge(const Manifest& manifest, const std::string& dir,
                  const std::string& out_path) {
   const std::vector<UnitRecord> records =
       collect_units(manifest, dir, /*require_complete=*/true);
-  const std::string tmp = out_path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    throw std::runtime_error("cannot write " + tmp);
-  }
   // Unit-sorted verbatim lines, no header: the bytes depend only on the
   // manifest, never on sharding or interruption history.
-  for (const UnitRecord& rec : records) {
-    std::fprintf(out, "%s\n", rec.line.c_str());
+  const std::string tmp = out_path + ".tmp";
+  const auto write = [&records](std::FILE* out) {
+    for (const UnitRecord& rec : records) {
+      std::fprintf(out, "%s\n", rec.line.c_str());
+    }
+  };
+  if (!cli::write_file(tmp, write, "wb")) {
+    throw std::runtime_error("cannot write " + tmp);
   }
-  std::fflush(out);
-  std::fclose(out);
   if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
     throw std::runtime_error("cannot replace " + out_path);
   }

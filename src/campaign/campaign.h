@@ -28,6 +28,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "fuzz/differential.h"
+
 namespace safespec::campaign {
 
 /// The fuzz axis: one unit = one differential-fuzzer seed
@@ -39,10 +41,10 @@ struct FuzzAxis {
   std::vector<std::string> policies;  ///< empty = every registered policy
   std::vector<std::string> presets;   ///< empty = every registered preset
   int cores = 1;
-  /// Harness self-test defect injection: "" (off), "commit-xor"
-  /// (corrupt committed writebacks) or "skip-squash-release" (leak
-  /// shadow refs on squash). The triage tests run mutated campaigns so
-  /// failure grouping is exercised without a real simulator bug.
+  /// Harness self-test defect injection: "" (off) or the name of a
+  /// mutant, a core defect the fuzzer must catch, from the mutant table
+  /// in campaign.cc. The triage tests run mutated campaigns so failure
+  /// grouping is exercised without a real simulator bug.
   std::string mutate;
 };
 
@@ -102,6 +104,32 @@ struct UnitRecord {
   std::string line;
 };
 
+/// What running one unit produced.
+struct UnitResult {
+  std::string line;     ///< the unit's journal line (no newline)
+  bool failed = false;  ///< a fuzz seed with a violation (grid: never)
+};
+
+/// Runs single units of one manifest. Built once per manifest: it loads
+/// the FuzzSpec file and resolves the mutant up front. run() is const
+/// and thread-safe, and its line carries only simulated data (no wall
+/// times, no host identity), so the line is a pure function of
+/// (manifest, unit) and merges byte-identically across kills, resumes
+/// and shard splits. campaign_driver's shards and fuzz_driver's one-shot
+/// campaign both run their units through it.
+class UnitRunner {
+ public:
+  explicit UnitRunner(const Manifest& manifest);
+  UnitResult run(std::uint64_t unit) const;
+  /// The FuzzSpec fuzz units generate their programs from.
+  const fuzz::FuzzSpec& spec() const { return spec_; }
+
+ private:
+  Manifest manifest_;
+  fuzz::FuzzSpec spec_;
+  fuzz::DifferentialConfig config_;
+};
+
 /// An open shard journal. Construction recovers: an existing file has
 /// its header validated against the manifest (mismatch throws — never
 /// resume into another campaign's journal), a torn tail from a killed
@@ -109,7 +137,7 @@ struct UnitRecord {
 /// every surviving unit line is indexed so run_shard can skip it. A
 /// fresh file gets the header written immediately. append() is
 /// thread-safe and fflushes per line (the durability the resume
-/// protocol depends on).
+/// protocol depends on); a line that cannot be written throws.
 class ShardJournal {
  public:
   ShardJournal(const Manifest& manifest, const std::string& dir, int shard);
@@ -122,6 +150,7 @@ class ShardJournal {
   }
 
   /// Appends one unit line (no newline) and flushes. Thread-safe.
+  /// Throws std::runtime_error when the write or the flush fails.
   void append(std::uint64_t unit, const std::string& line);
 
  private:

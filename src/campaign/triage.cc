@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 
 #include "common/json.h"
-#include "fuzz/differential.h"
 
 namespace safespec::campaign {
 
@@ -64,18 +64,19 @@ TriageReport triage_records(const std::vector<UnitRecord>& records) {
     if (ok->boolean) continue;
     ++report.failures;
     const std::uint64_t seed_value = json::as_u64(*seed, "seed");
-    std::string first_violation = "(no violation recorded)";
-    if (const json::Value* violations = v.find("violations")) {
-      if (!violations->array.empty()) {
-        first_violation = violations->array.front().text;
+    std::vector<std::string> violations;
+    if (const json::Value* list = v.find("violations")) {
+      for (const json::Value& item : list->array) {
+        violations.push_back(item.text);
       }
     }
-    const std::string fingerprint = normalize_violation(first_violation);
+    if (violations.empty()) violations.push_back("(no violation recorded)");
+    const std::string fingerprint = normalize_violation(violations.front());
     auto [it, inserted] = groups.emplace(fingerprint, TriageGroup{});
     TriageGroup& group = it->second;
     if (inserted) {
       group.fingerprint = fingerprint;
-      group.example = first_violation;
+      group.violations = std::move(violations);
       group.first_seed = seed_value;
     }
     group.seeds.push_back(seed_value);
@@ -115,6 +116,23 @@ TriageReport triage_merged_file(const std::string& merged_path) {
   return triage_records(records);
 }
 
+std::string repro_command(const FuzzAxis& fuzz, std::uint64_t seed) {
+  std::string out =
+      "fuzz_driver --seed=" + std::to_string(seed) + " --count=1 --dump";
+  if (!fuzz.spec.empty()) out += " --spec=" + fuzz.spec;
+  if (fuzz.cores != 1) out += " --cores=" + std::to_string(fuzz.cores);
+  const auto list = [&out](const char* flag,
+                           const std::vector<std::string>& names) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      out += (i == 0 ? flag : ",") + names[i];
+    }
+  };
+  list(" --policies=", fuzz.policies);
+  list(" --presets=", fuzz.presets);
+  if (!fuzz.mutate.empty()) out += " --mutate=" + fuzz.mutate;
+  return out;
+}
+
 std::string render_triage_text(const TriageReport& report,
                                const Manifest* manifest) {
   std::string out;
@@ -126,14 +144,7 @@ std::string render_triage_text(const TriageReport& report,
                 static_cast<unsigned long long>(report.failures),
                 report.groups.size());
   out += line;
-  std::string spec_path;
-  fuzz::DifferentialConfig axes;
-  if (manifest != nullptr) {
-    spec_path = manifest->fuzz.spec;
-    axes.policies = manifest->fuzz.policies;
-    axes.presets = manifest->fuzz.presets;
-    axes.cores = manifest->fuzz.cores;
-  }
+  const FuzzAxis axis = manifest != nullptr ? manifest->fuzz : FuzzAxis{};
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
     const TriageGroup& group = report.groups[g];
     std::snprintf(line, sizeof line,
@@ -142,7 +153,10 @@ std::string render_triage_text(const TriageReport& report,
                   static_cast<unsigned long long>(group.first_seed));
     out += line;
     out += "  fingerprint: " + group.fingerprint + "\n";
-    out += "  example:     " + group.example + "\n";
+    for (std::size_t i = 0; i < group.violations.size(); ++i) {
+      out += (i == 0 ? "  violations:  " : "               ") +
+             group.violations[i] + "\n";
+    }
     out += "  seeds:      ";
     const std::size_t shown = std::min<std::size_t>(group.seeds.size(), 16);
     for (std::size_t i = 0; i < shown; ++i) {
@@ -152,10 +166,7 @@ std::string render_triage_text(const TriageReport& report,
       out += " ... (" + std::to_string(group.seeds.size() - shown) + " more)";
     }
     out += "\n";
-    out += "  repro:       " +
-           fuzz::repro_command("fuzz_driver", group.first_seed, spec_path,
-                               axes) +
-           "\n";
+    out += "  repro:       " + repro_command(axis, group.first_seed) + "\n";
   }
   return out;
 }
@@ -170,7 +181,7 @@ std::string render_triage_json(const TriageReport& report) {
     out += g == 0 ? "\n" : ",\n";
     out += "    {\"fingerprint\": \"" +
            json::escape(group.fingerprint) + "\",\n";
-    out += "     \"example\": \"" + json::escape(group.example) +
+    out += "     \"example\": \"" + json::escape(group.violations.front()) +
            "\",\n";
     out += "     \"first_seed\": " + std::to_string(group.first_seed) +
            ",\n";

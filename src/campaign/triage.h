@@ -6,9 +6,11 @@
 // collapses them: each failing unit's first violation is normalized
 // (every decimal and hex run replaced by '#') into a fingerprint, seeds
 // grouped by fingerprint, and each group reported once with its
-// smallest failing seed and a one-line fuzz_driver repro command. The
-// grouping is a pure function of the unit lines, so an S-shard campaign
-// triages identically to a 1-shard run — pinned by tests.
+// smallest failing seed, every violation of that seed, and a one-line
+// fuzz_driver repro command. The grouping is a pure function of the unit
+// lines, so an S-shard campaign triages identically to a 1-shard run —
+// pinned by tests — and fuzz_driver, a one-shot campaign, prints the
+// same report for its in-memory unit lines.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,8 @@ namespace safespec::campaign {
 /// One distinct failure mode.
 struct TriageGroup {
   std::string fingerprint;  ///< normalized first violation
-  std::string example;      ///< verbatim first violation of `first_seed`
+  /// Every violation of `first_seed`, verbatim, in the harness's order.
+  std::vector<std::string> violations;
   std::uint64_t first_seed = 0;  ///< smallest failing seed in the group
   std::vector<std::uint64_t> seeds;  ///< all failing seeds, ascending
 };
@@ -50,13 +53,21 @@ TriageReport triage(const Manifest& manifest, const std::string& dir);
 /// Triage a merged artifact written by merge().
 TriageReport triage_merged_file(const std::string& merged_path);
 
-/// Human-readable report with one repro command per group
-/// ("fuzz_driver --seed=N --count=1 --dump [--spec=...]"); `manifest`
-/// may be null when only a merged file was available.
+/// The command line that reruns `seed` alone and disassembles it:
+/// `fuzz_driver --seed=N --count=1 --dump`, then each of --spec, --cores,
+/// --policies, --presets and --mutate that differs from its default, so
+/// the repro checks the cells that failed with the defect that was
+/// injected.
+std::string repro_command(const FuzzAxis& fuzz, std::uint64_t seed);
+
+/// Human-readable report: per group, every violation of its first seed
+/// and one repro command; `manifest` may be null when only a merged file
+/// was available (the repro then names no axis).
 std::string render_triage_text(const TriageReport& report,
                                const Manifest* manifest);
 
-/// Machine-readable single-object JSON of the same report.
+/// Machine-readable single-object JSON of the same report ("example" is
+/// the first seed's first violation).
 std::string render_triage_json(const TriageReport& report);
 
 }  // namespace safespec::campaign

@@ -49,6 +49,16 @@ int parse_int_or_exit(const char* value, const char* flag,
   return static_cast<int>(v);
 }
 
+bool write_file(const std::string& path,
+                const std::function<void(std::FILE*)>& write,
+                const char* mode) {
+  std::FILE* out = std::fopen(path.c_str(), mode);
+  if (out == nullptr) return false;
+  write(out);
+  const bool write_failed = std::ferror(out) != 0;
+  return std::fclose(out) == 0 && !write_failed;
+}
+
 FlagSet& FlagSet::value(const char* name, ValueHandler handler,
                         bool separated) {
   Flag f;

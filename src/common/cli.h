@@ -31,6 +31,14 @@ std::uint64_t parse_budget_or_exit(const char* value, const char* flag);
 int parse_int_or_exit(const char* value, const char* flag,
                       std::uint64_t max = 10'000'000);
 
+/// Writes one output file: opens `path` with fopen `mode` ("w" replaces
+/// it, "a" appends), hands the stream to `write`, and closes it. False
+/// when the file cannot be opened, written or closed, so a full disk
+/// never passes for success; the caller reports the failure.
+[[nodiscard]] bool write_file(const std::string& path,
+                              const std::function<void(std::FILE*)>& write,
+                              const char* mode = "w");
+
 /// Declarative flag table + the parse loop shared by every tool.
 class FlagSet {
  public:

@@ -1,12 +1,10 @@
-// Lightweight statistics primitives: named counters, ratio helpers, and
+// Lightweight statistics primitives: event counters, ratio helpers, and
 // integer histograms with percentile queries. These back every figure in
 // the evaluation (occupancy percentiles for Figs 6-9, miss rates for
 // Figs 12-15, commit rates for Fig 16).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace safespec {
@@ -17,10 +15,6 @@ class Counter {
   void add(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
-
-  /// Folds another counter in (aggregating per-cell statistics after a
-  /// parallel sweep).
-  void merge(const Counter& other) { value_ += other.value_; }
 
  private:
   std::uint64_t value_ = 0;
@@ -43,10 +37,6 @@ struct HitMiss {
   void reset() {
     hits.reset();
     misses.reset();
-  }
-  void merge(const HitMiss& other) {
-    hits.merge(other.hits);
-    misses.merge(other.misses);
   }
 };
 
@@ -112,20 +102,6 @@ class Histogram {
     run_len_ = 0;
   }
 
-  /// Folds another histogram in bucket-wise; percentiles of the merged
-  /// histogram equal those of the concatenated sample streams.
-  void merge(const Histogram& other) {
-    flush_run();
-    other.flush_run();
-    if (other.buckets_.size() > buckets_.size())
-      buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t v = 0; v < other.buckets_.size(); ++v)
-      buckets_[v] += other.buckets_[v];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
  private:
   void bucket_add(std::uint64_t sample, std::uint64_t n) const {
     if (sample >= buckets_.size()) buckets_.resize(sample + 1, 0);
@@ -150,17 +126,6 @@ class Histogram {
   mutable std::uint64_t max_ = 0;
   mutable std::uint64_t run_value_ = 0;
   mutable std::uint64_t run_len_ = 0;
-};
-
-/// A registry of named counters for ad-hoc instrumentation; mainly used
-/// by tests and the examples to dump whatever a component recorded.
-class StatSet {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-
- private:
-  std::map<std::string, Counter> counters_;
 };
 
 /// Geometric mean of a vector of positive values (used for Fig 11's

@@ -275,14 +275,7 @@ namespace {
 /// stderr, when the file cannot be opened, written or closed.
 bool write_file(const std::string& path, const char* what,
                 const std::function<void(std::FILE*)>& write) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  write(out);
-  const bool write_failed = std::ferror(out) != 0;
-  if (std::fclose(out) != 0 || write_failed) {
+  if (!cli::write_file(path, write)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }

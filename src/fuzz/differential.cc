@@ -1,11 +1,9 @@
 #include "fuzz/differential.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
-#include "experiment/experiment.h"
 #include "fuzz/generator.h"
 #include "memory/main_memory.h"
 #include "memory/page_table.h"
@@ -210,47 +208,6 @@ SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
     }
   }
   return verdict;
-}
-
-std::string repro_command(const std::string& program, std::uint64_t seed,
-                          const std::string& spec_path,
-                          const DifferentialConfig& config) {
-  std::string out =
-      program + " --seed=" + std::to_string(seed) + " --count=1 --dump";
-  if (!spec_path.empty()) out += " --spec=" + spec_path;
-  if (config.cores != 1) out += " --cores=" + std::to_string(config.cores);
-  const auto list = [&out](const char* flag,
-                           const std::vector<std::string>& names) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      out += (i == 0 ? flag : ",") + names[i];
-    }
-  };
-  list(" --policies=", config.policies);
-  list(" --presets=", config.presets);
-  return out;
-}
-
-FuzzReport run_fuzz(std::uint64_t first_seed, int count,
-                    const FuzzSpec& spec, const DifferentialConfig& config,
-                    int threads) {
-  FuzzReport report;
-  report.first_seed = first_seed;
-  report.count = count;
-  if (count <= 0) return report;
-
-  std::vector<SeedVerdict> verdicts(static_cast<std::size_t>(count));
-  const experiment::ParallelRunner runner(threads);
-  runner.parallel_for(static_cast<std::size_t>(count), [&](std::size_t i) {
-    verdicts[i] =
-        check_seed(first_seed + static_cast<std::uint64_t>(i), spec, config);
-  });
-
-  for (auto& verdict : verdicts) {
-    report.total_cells += verdict.cells;
-    report.total_committed += verdict.committed;
-    if (!verdict.ok) report.failures.push_back(std::move(verdict));
-  }
-  return report;
 }
 
 }  // namespace safespec::fuzz

@@ -19,7 +19,9 @@
 //      live shadow state behind (Fig 3's annulment, §III).
 //
 // check_seed is pure: same (seed, spec, config) in, same verdict out, on
-// any thread — which makes every failure a one-line repro command.
+// any thread — which makes every failure a one-line repro command. Seed
+// ranges run as campaigns (campaign::UnitRunner), from campaign_driver's
+// sharded journals or fuzz_driver's one-shot, in-memory sweep.
 #pragma once
 
 #include <array>
@@ -88,29 +90,5 @@ struct SeedVerdict {
 /// (unknown policy/preset names propagate std::out_of_range).
 SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
                        const DifferentialConfig& config);
-
-/// Aggregate over a seed range.
-struct FuzzReport {
-  std::uint64_t first_seed = 0;
-  int count = 0;
-  std::size_t total_cells = 0;
-  std::uint64_t total_committed = 0;  ///< oracle instructions, all seeds
-  std::vector<SeedVerdict> failures;  ///< failing seeds, ascending
-  bool ok() const { return failures.empty(); }
-};
-
-/// The command line that reruns `seed` alone and disassembles it:
-/// `program --seed=N --count=1 --dump`, then --spec=FILE when
-/// `spec_path` is set and each of --cores, --policies and --presets that
-/// differs from its default, so the repro checks the cells that failed.
-std::string repro_command(const std::string& program, std::uint64_t seed,
-                          const std::string& spec_path,
-                          const DifferentialConfig& config);
-
-/// Checks seeds [first_seed, first_seed + count) on the experiment
-/// engine's thread pool. The report is identical for any thread count.
-FuzzReport run_fuzz(std::uint64_t first_seed, int count,
-                    const FuzzSpec& spec, const DifferentialConfig& config,
-                    int threads = 0);
 
 }  // namespace safespec::fuzz

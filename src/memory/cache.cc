@@ -20,9 +20,9 @@ int checked_sets(const CacheConfig& config) {
 
 Cache::Cache(const CacheConfig& config)
     : config_(config),
-      store_(checked_sets(config), config.ways, config.policy, config.seed,
-             /*owners=*/true,
-             /*forced_draws=*/config.protection == CacheProtection::kSharp) {}
+      store_(checked_sets(config), config.ways, /*owners=*/true,
+             /*forced_draws=*/config.protection == CacheProtection::kSharp,
+             config.seed) {}
 
 bool Cache::access(Addr line, bool update_replacement, bool count_stats) {
   const std::size_t slot = store_.find(line);

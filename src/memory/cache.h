@@ -1,4 +1,4 @@
-// Set-associative cache tag array with pluggable replacement.
+// Set-associative cache tag array with LRU replacement.
 //
 // The simulator models tags only — data values live in MainMemory (the
 // architectural store) because timing, not payload, is what caches decide.
@@ -23,8 +23,7 @@ struct CacheConfig {
   int ways = 8;
   int line_bytes = 64;
   Cycle hit_latency = 4;
-  ReplPolicy policy = ReplPolicy::kLru;
-  std::uint64_t seed = 1;  ///< for kRandom replacement
+  std::uint64_t seed = 1;  ///< for SHARP's forced victim draws
 
   /// Victim-selection protection (SHARP / detect-only). kNone for every
   /// pre-existing policy; the ProtectionPolicy's tune() sets it.
@@ -122,7 +121,7 @@ class Cache {
   CacheConfig config_;
   SetAssoc store_;
   /// Replacement stamp clock: advanced only when a stamp is written
-  /// (touch/fill). LRU/FIFO compare stamp order, not values, so skipping
+  /// (touch/fill). LRU compares stamp order, not values, so skipping
   /// the bump on non-stamping accesses changes no eviction decision.
   std::uint64_t tick_ = 0;
   HitMiss stats_;

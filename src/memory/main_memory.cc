@@ -4,21 +4,6 @@
 
 namespace safespec::memory {
 
-void MainMemory::map_page(Addr page, PagePerm perm) { perms_[page] = perm; }
-
-std::optional<PagePerm> MainMemory::page_perm(Addr page) const {
-  const PagePerm* perm = perms_.find(page);
-  if (perm == nullptr) return std::nullopt;
-  return *perm;
-}
-
-bool MainMemory::access_ok(Addr page, PrivLevel level) const {
-  const auto perm = page_perm(page);
-  if (!perm.has_value()) return false;
-  if (*perm == PagePerm::kKernel && level == PrivLevel::kUser) return false;
-  return true;
-}
-
 std::uint64_t MainMemory::read64(Addr addr) const {
   const std::uint64_t* word = words_.find(word_of(addr));
   return word == nullptr ? 0 : *word;

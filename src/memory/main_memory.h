@@ -1,16 +1,14 @@
-// Architectural backing store: memory contents plus per-page permissions.
+// Architectural backing store: memory contents.
 //
 // This is the substrate the paper gets "for free" from QEMU inside
-// MARSSx86. We model exactly what the attacks require:
-//   * real data at addresses (a speculatively loaded secret has a value),
-//   * per-page user/kernel permission bits whose check is *deferred* to
-//     commit (property P1 exploited by Meltdown),
-//   * unmapped pages (speculation down garbage paths must not crash the
-//     simulator).
+// MARSSx86. We model exactly what the attacks require: real data at
+// addresses (a speculatively loaded secret has a value). Which pages are
+// mapped, and whether user code may touch them (the check *deferred* to
+// commit, property P1 exploited by Meltdown), is the page table's record
+// (memory/page_table.h), not this store's.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -19,7 +17,8 @@
 
 namespace safespec::memory {
 
-/// Access privilege required to *architecturally* read/write a page.
+/// Access privilege required to *architecturally* read/write a region's
+/// pages (the page table records it per page as `kernel_only`).
 enum class PagePerm : std::uint8_t {
   kUser,    ///< accessible from user and kernel mode
   kKernel,  ///< kernel-only; user access faults at commit time
@@ -43,7 +42,7 @@ struct Region {
   PagePerm perm = PagePerm::kUser;
 };
 
-/// Sparse 64-bit-word-granular physical memory with page permissions.
+/// Sparse 64-bit-word-granular physical memory.
 ///
 /// Addresses given to read/write are byte addresses; storage is at 8-byte
 /// granularity with unaligned accesses rounded down (the micro-ISA only
@@ -51,19 +50,6 @@ struct Region {
 /// attack PoCs respect).
 class MainMemory {
  public:
-  /// Marks a page readable/writable with permission `perm`. Pages default
-  /// to unmapped; mapping is idempotent (re-mapping updates permission).
-  void map_page(Addr page, PagePerm perm);
-
-  bool is_mapped(Addr page) const { return perms_.contains(page); }
-
-  /// Permission of a mapped page; nullopt when unmapped.
-  std::optional<PagePerm> page_perm(Addr page) const;
-
-  /// True when `level` may architecturally access `page`. Unmapped pages
-  /// are never accessible.
-  bool access_ok(Addr page, PrivLevel level) const;
-
   /// Reads the 64-bit word containing byte address `addr`. Unwritten
   /// words read as zero (like zero-fill-on-demand).
   std::uint64_t read64(Addr addr) const;
@@ -82,10 +68,9 @@ class MainMemory {
  private:
   static Addr word_of(Addr addr) { return addr >> 3; }
 
-  // Paged backing arrays: workload data and page maps are dense, so the
-  // per-load/store lookup is a direct index in the common case.
-  PagedAddrMap<std::uint64_t> words_;   // keyed by word index
-  PagedAddrMap<PagePerm> perms_;        // keyed by page number
+  // Paged backing array: workload data is dense, so the per-load/store
+  // lookup is a direct index in the common case.
+  PagedAddrMap<std::uint64_t> words_;  // keyed by word index
 };
 
 }  // namespace safespec::memory

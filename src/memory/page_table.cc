@@ -56,7 +56,6 @@ void map_image(const std::vector<Region>& regions,
     const Addr last =
         page_of(region.base + (region.bytes == 0 ? 0 : region.bytes - 1));
     for (Addr page = first; page <= last; ++page) {
-      mem.map_page(page, region.perm);
       page_table.map_identity(page, region.perm == PagePerm::kKernel);
     }
   }

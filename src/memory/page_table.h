@@ -1,14 +1,14 @@
 // Page table and hardware page-table walker.
 //
 // Translation is identity-mapped by default (vpage == ppage) but fully
-// programmable, with per-page permissions mirrored from MainMemory. The
-// walker models the x86-64 4-level radix walk: each level is one memory
-// access *through the data-cache hierarchy* at a synthetic page-table
-// address. That detail matters for SafeSpec: the paper notes (§IV-A) that
-// because the page walker uses the load/store path, the d-cache shadow
-// protection also covers the walker's side effects — which our core
-// reproduces by routing walker accesses through the same speculative-fill
-// policy as ordinary loads.
+// programmable, and the table is the one record of which pages are
+// mapped and which are kernel-only. The walker models the x86-64 4-level
+// radix walk: each level is one memory access *through the data-cache
+// hierarchy* at a synthetic page-table address. That detail matters for
+// SafeSpec: the paper notes (§IV-A) that because the page walker uses the
+// load/store path, the d-cache shadow protection also covers the walker's
+// side effects — which our core reproduces by routing walker accesses
+// through the same speculative-fill policy as ordinary loads.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +67,9 @@ class PageTable {
 };
 
 /// Sets up a program image's address space: every page of every region
-/// gets the region's permission in `mem` and an identity translation in
-/// `page_table` (a zero-byte region maps its base page), then the pokes
-/// are written in order. The one mapping loop behind MachineBuilder,
+/// gets an identity translation in `page_table`, kernel-only for a
+/// kernel region (a zero-byte region maps its base page), then the pokes
+/// are written to `mem` in order. The one mapping loop behind MachineBuilder,
 /// Simulator::map_region_on and the differential oracle.
 void map_image(const std::vector<Region>& regions,
                const std::vector<Poke>& pokes, MainMemory& mem,

@@ -1,10 +1,9 @@
 // Tag and replacement storage shared by every set-associative level
 // (caches and TLBs). A level is a few flat arrays indexed
 // `set * ways + way` — tags, replacement stamps and, for caches, owner
-// ids — plus one Rng per set only where a victim draw can happen, so
-// building a level costs a fixed few allocations whatever its set count.
-// Policies are selected by enum rather than virtual dispatch: the
-// simulator calls these on every access.
+// ids — plus one Rng per set only where SHARP's forced victim draw can
+// happen, so building a level costs a fixed few allocations whatever its
+// set count. Replacement is LRU, what the paper's model uses.
 #pragma once
 
 #include <algorithm>
@@ -18,15 +17,9 @@
 
 namespace safespec::memory {
 
-enum class ReplPolicy : std::uint8_t {
-  kLru,     ///< least-recently-used (default; what the paper's model uses)
-  kFifo,    ///< insertion-order eviction
-  kRandom,  ///< uniform random victim (deterministic via seeded Rng)
-};
-
-/// Cache-level protection applied at victim selection, orthogonal to the
-/// base ReplPolicy (set via CacheConfig::protection, chosen by the
-/// ProtectionPolicy in the registry).
+/// Cache-level protection applied at victim selection, on top of LRU
+/// (set via CacheConfig::protection, chosen by the ProtectionPolicy in
+/// the registry).
 enum class CacheProtection : std::uint8_t {
   kNone,        ///< historical behaviour: owner-blind victim choice
   kSharp,       ///< SHARP: prefer requester-owned ways, alarm when forced
@@ -40,11 +33,10 @@ struct VictimChoice {
 };
 
 /// The ways of one set-associative level. A slot (`set * ways + way`)
-/// holds a tag, kEmpty when the way is free, and a 64-bit stamp: the
-/// last-touch time for LRU, the fill time for FIFO, unused for Random.
-/// The owner supplies a monotonically increasing `tick`. Ties on equal
-/// stamps resolve to the lowest way; kRandom draws from the set's own
-/// Rng, seeded `seed + set`.
+/// holds a tag, kEmpty when the way is free, and a 64-bit stamp: its
+/// last fill or touch time. The owner supplies a monotonically
+/// increasing `tick`. Ties on equal stamps resolve to the lowest way;
+/// SHARP's forced pick draws from the set's own Rng, seeded `seed + set`.
 ///
 /// With `owners`, each slot also records the requesting context that
 /// filled it (core id at the shared L2/L3, 0 for private levels). A hit
@@ -63,16 +55,16 @@ class SetAssoc {
   /// Owner ids are core ids, which MachineSpec::validate caps at 64.
   static constexpr int kMaxOwners = 64;
 
-  /// `forced_draws` gives every set an Rng under LRU/FIFO too, for
-  /// SHARP's forced pick; kRandom levels always have one.
-  SetAssoc(int sets, int ways, ReplPolicy policy, std::uint64_t seed,
-           bool owners, bool forced_draws)
-      : sets_(sets), ways_(ways), policy_(policy),
+  /// `forced_draws` gives every set an Rng, seeded `seed + set`, for
+  /// SHARP's forced pick.
+  SetAssoc(int sets, int ways, bool owners, bool forced_draws = false,
+           std::uint64_t seed = 0)
+      : sets_(sets), ways_(ways),
         pow2_((sets & (sets - 1)) == 0),
         tags_(static_cast<std::size_t>(sets) * ways, kEmpty),
         stamps_(tags_.size(), 0),
         owners_(owners ? tags_.size() : 0, 0) {
-    if (policy == ReplPolicy::kRandom || forced_draws) {
+    if (forced_draws) {
       rngs_.reserve(static_cast<std::size_t>(sets));
       for (int s = 0; s < sets; ++s) {
         rngs_.emplace_back(seed + static_cast<std::uint64_t>(s));
@@ -108,10 +100,8 @@ class SetAssoc {
     return free;
   }
 
-  /// Notes a hit on `slot` at time `tick`: refreshes LRU recency only.
-  void touch(std::size_t slot, std::uint64_t tick) {
-    if (policy_ == ReplPolicy::kLru) stamps_[slot] = tick;
-  }
+  /// Notes a hit on `slot` at time `tick`: refreshes its recency.
+  void touch(std::size_t slot, std::uint64_t tick) { stamps_[slot] = tick; }
 
   /// Puts `key` in `slot` (its resident, a free or a victim way) at time
   /// `tick`, owned by `owner`.
@@ -139,12 +129,9 @@ class SetAssoc {
 
   /// Victim slot for a fill into `set`. Only called when every way of
   /// the set is occupied — callers take free ways first. Owner-blind:
-  /// LRU and FIFO evict the smallest stamp; kRandom draws a way.
-  std::size_t victim(int set) {
+  /// the least recently used way.
+  std::size_t victim(int set) const {
     const std::size_t base = first_slot(set);
-    if (policy_ == ReplPolicy::kRandom) {
-      return base + rngs_[set].below(static_cast<std::uint64_t>(ways_));
-    }
     std::size_t best = base;
     for (std::size_t s = base + 1; s < base + ways_; ++s) {
       if (stamps_[s] < stamps_[best]) best = s;
@@ -153,38 +140,26 @@ class SetAssoc {
   }
 
   /// SHARP-style victim for a fill into a full `set` by `owner`: ways
-  /// owned by other contexts are skipped and the base policy picks among
-  /// the requester's own lines (SHARP's tier-1 "unowned" and tier-2
+  /// owned by other contexts are skipped and LRU picks among the
+  /// requester's own lines (SHARP's tier-1 "unowned" and tier-2
   /// "requester-owned" preferences collapse to one rule here because
   /// every resident way records the context that filled it). When the
   /// requester owns nothing in the set the choice is *forced*: a
   /// uniformly random way is evicted and the caller raises an alarm
   /// (tier 3). When every way belongs to the requester — always the case
-  /// at cores=1 — the result is bit-identical to victim(), including the
-  /// kRandom draw sequence (one below() of the same bound).
+  /// at cores=1 — the result is bit-identical to victim().
   VictimChoice protected_victim(int set, int owner) {
     const std::size_t base = first_slot(set);
-    const std::size_t end = base + ways_;
-    std::uint64_t candidates = 0;
-    for (std::size_t s = base; s < end; ++s) {
-      if (owners_[s] == owner) ++candidates;
-    }
-    if (candidates == 0) {
-      return {base + rngs_[set].below(static_cast<std::uint64_t>(ways_)),
-              true};
-    }
-    if (policy_ == ReplPolicy::kRandom) {
-      std::uint64_t nth = rngs_[set].below(candidates);
-      for (std::size_t s = base; s < end; ++s) {
-        if (owners_[s] == owner && nth-- == 0) return {s, false};
-      }
-    }
-    // LRU and FIFO evict the smallest stamp among the candidates, lowest
-    // way on ties — victim()'s rule over all ways.
+    // The smallest stamp among the requester's ways, lowest way on ties —
+    // victim()'s rule over all ways.
     std::size_t best = kNone;
-    for (std::size_t s = base; s < end; ++s) {
+    for (std::size_t s = base; s < base + ways_; ++s) {
       if (owners_[s] != owner) continue;
       if (best == kNone || stamps_[s] < stamps_[best]) best = s;
+    }
+    if (best == kNone) {
+      return {base + rngs_[set].below(static_cast<std::uint64_t>(ways_)),
+              true};
     }
     return {best, false};
   }
@@ -202,12 +177,11 @@ class SetAssoc {
 
   int sets_;
   int ways_;
-  ReplPolicy policy_;
   bool pow2_;
   std::vector<Addr> tags_;
   std::vector<std::uint64_t> stamps_;
   std::vector<std::uint8_t> owners_;  ///< filling context per slot
-  std::vector<Rng> rngs_;             ///< per set; kRandom or forced draws
+  std::vector<Rng> rngs_;             ///< per set; forced draws only
 };
 
 }  // namespace safespec::memory

@@ -16,8 +16,7 @@ int checked_sets(const TlbConfig& config) {
 
 Tlb::Tlb(const TlbConfig& config)
     : config_(config),
-      store_(checked_sets(config), config.ways, config.policy, config.seed,
-             /*owners=*/false, /*forced_draws=*/false),
+      store_(checked_sets(config), config.ways, /*owners=*/false),
       entries_(static_cast<std::size_t>(config.entries)) {}
 
 std::optional<TlbEntry> Tlb::access(Addr vpage) {

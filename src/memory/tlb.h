@@ -17,9 +17,7 @@ namespace safespec::memory {
 struct TlbConfig {
   std::string name = "TLB";
   int entries = 64;
-  int ways = 4;  ///< set-associative; entries/ways sets
-  ReplPolicy policy = ReplPolicy::kLru;
-  std::uint64_t seed = 7;
+  int ways = 4;  ///< set-associative, LRU; entries/ways sets
 
   int num_sets() const { return entries / ways; }
 };

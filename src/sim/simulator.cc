@@ -92,8 +92,7 @@ void Simulator::map_text_on(int c) {
   CoreContext& ctx = *ctx_[c];
   for (const Addr pc : ctx.program.pcs()) {
     const Addr page = page_of(pc);
-    if (!ctx.mem.is_mapped(page)) {
-      ctx.mem.map_page(page, memory::PagePerm::kUser);
+    if (!ctx.page_table.translate(page).present) {
       ctx.page_table.map_identity(page, /*kernel_only=*/false);
     }
   }

@@ -371,8 +371,51 @@ TEST(Triage, ReproLineKeepsTheCampaignAxes) {
   run_shard(m, dir, 0, options);
   EXPECT_NE(render_triage_text(triage(m, dir), &m)
                 .find("  repro:       fuzz_driver --seed=1 --count=1 --dump "
-                      "--cores=2 --policies=baseline --presets=skylake\n"),
+                      "--cores=2 --policies=baseline --presets=skylake "
+                      "--mutate=commit-xor\n"),
             std::string::npos);
+}
+
+/// A repro line names every axis that differs from fuzz_driver's
+/// defaults, and nothing else.
+TEST(Triage, ReproCommandCarriesNonDefaultAxes) {
+  FuzzAxis axis;
+  EXPECT_EQ(repro_command(axis, 5), "fuzz_driver --seed=5 --count=1 --dump");
+  axis.spec = "f.json";
+  axis.cores = 2;
+  axis.policies = {"WFB", "WFC"};
+  axis.presets = {"embedded"};
+  axis.mutate = "skip-squash-release";
+  EXPECT_EQ(repro_command(axis, 5),
+            "fuzz_driver --seed=5 --count=1 --dump --spec=f.json --cores=2 "
+            "--policies=WFB,WFC --presets=embedded "
+            "--mutate=skip-squash-release");
+}
+
+TEST(Triage, OneSeedReportListsEveryViolation) {
+  // A one-seed repro shows everything check_seed found for the seed, in
+  // order, not only the first violation the group is fingerprinted by.
+  const Manifest m = fuzz_manifest("one_seed", 1, 1, "commit-xor");
+  const UnitResult result = UnitRunner(m).run(0);
+  EXPECT_TRUE(result.failed);
+  const std::string text =
+      render_triage_text(triage_records({{0, result.line}}), &m);
+
+  fuzz::DifferentialConfig config;
+  config.policies = m.fuzz.policies;
+  config.presets = m.fuzz.presets;
+  config.mutation.commit_xor = 1;
+  const fuzz::SeedVerdict verdict = fuzz::check_seed(1, {}, config);
+  ASSERT_GE(verdict.violations.size(), 2u);
+  std::string expected = "group 1: 1 seeds, first 1\n";
+  expected += "  fingerprint: " +
+              normalize_violation(verdict.violations.front()) + "\n";
+  for (std::size_t i = 0; i < verdict.violations.size(); ++i) {
+    expected += (i == 0 ? "  violations:  " : "               ") +
+                verdict.violations[i] + "\n";
+  }
+  expected += "  seeds:       1\n";
+  EXPECT_NE(text.find(expected), std::string::npos) << text;
 }
 
 TEST(Triage, CleanCampaignHasNoGroups) {

@@ -244,17 +244,6 @@ TEST(HistogramTest, RecordRunOfNEqualsNSingleRecordRuns) {
   EXPECT_EQ(empty.max(), 0u);
 }
 
-TEST(HistogramTest, MergeFlushesPendingRuns) {
-  Histogram a, b;
-  a.record_run(2);
-  a.record_run(2);
-  b.record_run(9);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.max(), 9u);
-  EXPECT_DOUBLE_EQ(a.mean(), 13.0 / 3.0);
-}
-
 TEST(HistogramProperty, PercentileMonotoneInFraction) {
   Histogram h;
   Rng rng(99);

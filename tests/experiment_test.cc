@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "experiment/experiment.h"
 #include "workloads/workload.h"
 
@@ -242,43 +241,6 @@ TEST(ParallelRunner, ParallelForCoversEveryIndexOnce) {
 
 TEST(ParallelRunner, ZeroThreadsPicksHardwareConcurrency) {
   EXPECT_GE(ParallelRunner(0).threads(), 1);
-}
-
-TEST(StatsMerge, HistogramMergeMatchesConcatenatedStream) {
-  Histogram a, b, merged;
-  for (std::uint64_t v : {1, 1, 2, 5}) {
-    a.record(v);
-    merged.record(v);
-  }
-  for (std::uint64_t v : {0, 3, 3, 9}) {
-    b.record(v);
-    merged.record(v);
-  }
-  Histogram folded = a;
-  folded.merge(b);
-  EXPECT_EQ(folded.count(), merged.count());
-  EXPECT_EQ(folded.max(), merged.max());
-  EXPECT_DOUBLE_EQ(folded.mean(), merged.mean());
-  for (double f : {0.25, 0.5, 0.9999}) {
-    EXPECT_EQ(folded.percentile(f), merged.percentile(f)) << f;
-  }
-}
-
-TEST(StatsMerge, CounterAndHitMiss) {
-  Counter a, b;
-  a.add(3);
-  b.add(4);
-  a.merge(b);
-  EXPECT_EQ(a.value(), 7u);
-
-  HitMiss h1, h2;
-  h1.hits.add(9);
-  h1.misses.add(1);
-  h2.hits.add(1);
-  h2.misses.add(9);
-  h1.merge(h2);
-  EXPECT_EQ(h1.accesses(), 20u);
-  EXPECT_DOUBLE_EQ(h1.hit_rate(), 0.5);
 }
 
 TEST(ResultTable, CsvRoundTripsRawValues) {

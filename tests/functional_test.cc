@@ -391,9 +391,6 @@ TEST(FunctionalEngineTest, InvalidateTranslationsSeesRemappedPages) {
 
   memory::MainMemory mem;
   memory::PageTable pt;
-  for (const Addr base : {kText, kData, kAlt}) {
-    mem.map_page(page_of(base), memory::PagePerm::kUser);
-  }
   pt.map_identity(page_of(kText), /*kernel_only=*/false);
   pt.map_identity(page_of(kData), /*kernel_only=*/false);
   mem.write64(kData, 0xAAAA);

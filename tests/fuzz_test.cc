@@ -51,10 +51,8 @@ struct OracleEnv {
 
   OracleEnv() {
     for (const Addr base : {kText, kData}) {
-      mem.map_page(page_of(base), memory::PagePerm::kUser);
       pt.map_identity(page_of(base), /*kernel_only=*/false);
     }
-    mem.map_page(page_of(kKernel), memory::PagePerm::kKernel);
     pt.map_identity(page_of(kKernel), /*kernel_only=*/true);
   }
 
@@ -440,25 +438,14 @@ TEST(FuzzSpecTest, RejectsNonsense) {
 TEST(DifferentialTest, SeedRangePassesAllInvariants) {
   const FuzzSpec spec;
   const DifferentialConfig config;
-  const auto report = run_fuzz(1, 8, spec, config, /*threads=*/2);
-  for (const auto& failure : report.failures) {
-    ADD_FAILURE() << "seed " << failure.seed << ": "
-                  << failure.violations.front();
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const SeedVerdict verdict = check_seed(seed, spec, config);
+    EXPECT_TRUE(verdict.ok) << "seed " << seed << ": "
+                            << (verdict.ok ? "" : verdict.violations.front());
+    // All registered policies x presets ran for every seed.
+    EXPECT_EQ(verdict.cells, sim::machine_preset_names().size() *
+                                 policy::registered_policy_names().size());
   }
-  EXPECT_TRUE(report.ok());
-  // All registered policies x presets ran for every seed.
-  EXPECT_EQ(report.total_cells, 8u * sim::machine_preset_names().size() *
-                                    policy::registered_policy_names().size());
-}
-
-TEST(DifferentialTest, ReportIsThreadCountInvariant) {
-  const FuzzSpec spec;
-  const DifferentialConfig config;
-  const auto serial = run_fuzz(1, 6, spec, config, /*threads=*/1);
-  const auto parallel = run_fuzz(1, 6, spec, config, /*threads=*/4);
-  EXPECT_EQ(serial.failures.size(), parallel.failures.size());
-  EXPECT_EQ(serial.total_cells, parallel.total_cells);
-  EXPECT_EQ(serial.total_committed, parallel.total_committed);
 }
 
 TEST(DifferentialTest, GeneratedProgramsExerciseSpeculation) {
@@ -508,10 +495,7 @@ TEST(DifferentialTest, OracleImageMatchesBuiltCoreZero) {
       const bool kernel = region.perm == memory::PagePerm::kKernel;
       for (Addr page = page_of(region.base);
            page <= page_of(region.base + region.bytes - 1); ++page) {
-        for (const auto& [m, t] :
-             {std::pair{&mem, &pt},
-              std::pair{&sim->memory(), &sim->page_table()}}) {
-          ASSERT_TRUE(m->page_perm(page) == region.perm) << "page " << page;
+        for (const memory::PageTable* t : {&pt, &sim->page_table()}) {
           const memory::Translation xlat = t->translate(page);
           ASSERT_TRUE(xlat.present) << "page " << page;
           ASSERT_EQ(xlat.ppage, page);
@@ -520,20 +504,6 @@ TEST(DifferentialTest, OracleImageMatchesBuiltCoreZero) {
       }
     }
   }
-}
-
-/// A repro line names every axis that differs from fuzz_driver's
-/// defaults, and nothing else.
-TEST(DifferentialTest, ReproCommandCarriesNonDefaultAxes) {
-  DifferentialConfig config;
-  EXPECT_EQ(repro_command("fuzz_driver", 5, "", config),
-            "fuzz_driver --seed=5 --count=1 --dump");
-  config.cores = 2;
-  config.policies = {"WFB", "WFC"};
-  config.presets = {"embedded"};
-  EXPECT_EQ(repro_command("./fuzz_driver", 5, "f.json", config),
-            "./fuzz_driver --seed=5 --count=1 --dump --spec=f.json "
-            "--cores=2 --policies=WFB,WFC --presets=embedded");
 }
 
 // ---- mutation testing: the harness must catch a corrupted core ------------

@@ -557,10 +557,10 @@ TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
   // Core 0 holds the image: text, both regions and every poke.
   const auto words = sim->memory(0).nonzero_words();
   EXPECT_EQ(words.size(), 3001u);
-  EXPECT_EQ(sim->memory(0).page_perm(page_of(0x1000)),
-            memory::PagePerm::kUser);
-  EXPECT_EQ(sim->memory(0).page_perm(page_of(kKernel)),
-            memory::PagePerm::kKernel);
+  const memory::Translation text =
+      sim->page_table(0).translate(page_of(0x1000));
+  EXPECT_TRUE(text.present);
+  EXPECT_FALSE(text.kernel_only);
   EXPECT_TRUE(sim->page_table(0).translate(page_of(kKernel)).kernel_only);
 
   // Every other core holds an identical copy. The unmapped page just
@@ -577,9 +577,6 @@ TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
     EXPECT_EQ(sim->page_table(c).mapped_pages(),
               sim->page_table(0).mapped_pages());
     for (Addr page : pages) {
-      EXPECT_EQ(sim->memory(c).page_perm(page),
-                sim->memory(0).page_perm(page))
-          << "page " << page;
       expect_same_translation(sim->page_table(c).translate(page),
                               sim->page_table(0).translate(page), page);
     }
@@ -596,7 +593,6 @@ TEST(MachineBuilderTest, EveryCoreGetsAPrivateCopyOfOneImage) {
   }
   sim->map_region_on(2, 0x800000, kPageSize);
   for (int c = 0; c < sim->num_cores(); ++c) {
-    EXPECT_EQ(sim->memory(c).is_mapped(page_of(0x800000)), c == 2) << c;
     EXPECT_EQ(sim->page_table(c).translate(page_of(0x800000)).present,
               c == 2)
         << c;
@@ -615,10 +611,8 @@ TEST(MachineBuilderTest, HeterogeneousMachineMapsEachCoresOwnText) {
   sim::Simulator sim(sim::machine_preset("skylake").core,
                      std::move(programs));
   sim.map_text();
-  EXPECT_TRUE(sim.memory(0).is_mapped(page_of(0x1000)));
-  EXPECT_FALSE(sim.memory(0).is_mapped(page_of(kSecondText)));
-  EXPECT_TRUE(sim.memory(1).is_mapped(page_of(kSecondText)));
-  EXPECT_FALSE(sim.memory(1).is_mapped(page_of(0x1000)));
+  EXPECT_TRUE(sim.page_table(0).translate(page_of(0x1000)).present);
+  EXPECT_FALSE(sim.page_table(0).translate(page_of(kSecondText)).present);
   EXPECT_TRUE(sim.page_table(1).translate(page_of(kSecondText)).present);
   EXPECT_FALSE(sim.page_table(1).translate(page_of(0x1000)).present);
   sim.run();

@@ -62,26 +62,14 @@ TEST(MainMemory, SubWordAddressesAliasTheSameWord) {
   EXPECT_EQ(mem.read64(0x1008), 0u);   // next word
 }
 
-TEST(MainMemory, PermissionChecks) {
-  MainMemory mem;
-  mem.map_page(1, PagePerm::kUser);
-  mem.map_page(2, PagePerm::kKernel);
-  EXPECT_TRUE(mem.access_ok(1, PrivLevel::kUser));
-  EXPECT_TRUE(mem.access_ok(1, PrivLevel::kKernel));
-  EXPECT_FALSE(mem.access_ok(2, PrivLevel::kUser));
-  EXPECT_TRUE(mem.access_ok(2, PrivLevel::kKernel));
-  EXPECT_FALSE(mem.access_ok(3, PrivLevel::kKernel));  // unmapped
-}
-
 // ---- Cache -----------------------------------------------------------------
 
-CacheConfig small_cache(ReplPolicy policy = ReplPolicy::kLru) {
+CacheConfig small_cache() {
   return {.name = "t",
           .size_bytes = 4096,  // 64 lines
           .ways = 4,           // 16 sets
           .line_bytes = 64,
-          .hit_latency = 4,
-          .policy = policy};
+          .hit_latency = 4};
 }
 
 TEST(Cache, GeometryValidation) {
@@ -109,7 +97,7 @@ TEST(Cache, ProbeHasNoSideEffects) {
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
-  Cache c(small_cache(ReplPolicy::kLru));
+  Cache c(small_cache());
   // Four lines mapping to set 0 (multiples of 16 sets).
   c.fill(0);
   c.fill(16);
@@ -124,20 +112,8 @@ TEST(Cache, LruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(c.probe(16));
 }
 
-TEST(Cache, FifoIgnoresTouches) {
-  Cache c(small_cache(ReplPolicy::kFifo));
-  c.fill(0);
-  c.fill(16);
-  c.fill(32);
-  c.fill(48);
-  EXPECT_TRUE(c.access(0));  // does not save it under FIFO
-  const auto evicted = c.fill(64);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 0u);
-}
-
 TEST(Cache, SpeculativeAccessDoesNotUpdateRecency) {
-  Cache c(small_cache(ReplPolicy::kLru));
+  Cache c(small_cache());
   c.fill(0);
   c.fill(16);
   c.fill(32);
@@ -180,10 +156,12 @@ TEST(Cache, OccupancyTracksFills) {
   EXPECT_EQ(c.occupancy(), 0u);
 }
 
-class ReplacementSweep : public ::testing::TestWithParam<ReplPolicy> {};
+class ReplacementSweep : public ::testing::TestWithParam<CacheProtection> {};
 
 TEST_P(ReplacementSweep, CapacityNeverExceeded) {
-  Cache c(small_cache(GetParam()));
+  CacheConfig cfg = small_cache();
+  cfg.protection = GetParam();
+  Cache c(cfg);
   for (Addr l = 0; l < 1000; ++l) c.fill(l);
   EXPECT_LE(c.occupancy(), 64u);
   // Working set smaller than one set's ways always ends resident.
@@ -194,39 +172,30 @@ TEST_P(ReplacementSweep, CapacityNeverExceeded) {
   EXPECT_TRUE(c.probe(16));
 }
 
+// LRU under every victim-selection protection a policy can choose.
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementSweep,
-                         ::testing::Values(ReplPolicy::kLru, ReplPolicy::kFifo,
-                                           ReplPolicy::kRandom));
+                         ::testing::Values(CacheProtection::kNone,
+                                           CacheProtection::kSharp,
+                                           CacheProtection::kDetectOnly));
 
 // ---- SetAssoc: victim tie-breaks and owner attribution ---------------------
 
 // One set of `ways` ways, so a slot is its way index. Owners are kept, as
 // in a cache; `forced_draws` gives the set an Rng for SHARP's forced pick.
-SetAssoc one_set(ReplPolicy policy, int ways, std::uint64_t seed = 1,
-                 bool forced_draws = false) {
-  return SetAssoc(1, ways, policy, seed, /*owners=*/true, forced_draws);
+SetAssoc one_set(int ways, bool forced_draws = false) {
+  return SetAssoc(1, ways, /*owners=*/true, forced_draws);
 }
 
 TEST(Replacement, LruTieBreaksToLowestWay) {
-  SetAssoc set = one_set(ReplPolicy::kLru, 4);
+  SetAssoc set = one_set(4);
   for (int w = 0; w < 4; ++w) set.fill(w, /*key=*/100 + w, /*tick=*/10);
   EXPECT_EQ(set.victim(0), 0u);  // equal stamps: lowest way index wins
   set.touch(0, 12);              // LRU: a hit rescues way 0
   EXPECT_EQ(set.victim(0), 1u);
 }
 
-TEST(Replacement, FifoTieBreaksToLowestWayAndIgnoresTouches) {
-  SetAssoc set = one_set(ReplPolicy::kFifo, 4);
-  for (int w = 0; w < 4; ++w) set.fill(w, /*key=*/100 + w, /*tick=*/10);
-  EXPECT_EQ(set.victim(0), 0u);
-  set.touch(0, 12);  // FIFO: hits never refresh the insertion stamp
-  EXPECT_EQ(set.victim(0), 0u);
-  set.fill(0, 100, 14);  // ...but a refill does
-  EXPECT_EQ(set.victim(0), 1u);
-}
-
 TEST(Replacement, OwnerRecordedOnFillNotOnTouch) {
-  SetAssoc set = one_set(ReplPolicy::kLru, 2);
+  SetAssoc set = one_set(2);
   set.fill(0, /*key=*/100, 1, /*owner=*/3);
   EXPECT_EQ(set.owner(0), 3);
   set.touch(0, 2);  // a hit takes no owner: it cannot transfer ownership
@@ -246,7 +215,7 @@ TEST(Replacement, VictimChoiceIsOwnerBlind) {
   // The owner input is attribution only: the policy must pick the same
   // victim no matter which core asks, or cores=1 bit-identity would break
   // the moment a second core shares the level.
-  SetAssoc set = one_set(ReplPolicy::kLru, 4);
+  SetAssoc set = one_set(4);
   set.fill(0, 100, 10, /*owner=*/0);
   set.fill(1, 101, 11, /*owner=*/1);
   set.fill(2, 102, 12, /*owner=*/0);
@@ -267,7 +236,7 @@ TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
   // SHARP tiers 1/2: never victimize another owner's way while the
   // requester owns one; the base policy (here LRU) picks among the
   // requester's own ways.
-  SetAssoc set = one_set(ReplPolicy::kLru, 4, 1, /*forced_draws=*/true);
+  SetAssoc set = one_set(4, /*forced_draws=*/true);
   set.fill(0, 100, 10, /*owner=*/0);
   set.fill(1, 101, 11, /*owner=*/1);
   set.fill(2, 102, 12, /*owner=*/0);
@@ -284,7 +253,7 @@ TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
 TEST(Replacement, ProtectedVictimForcedWhenSetFullyForeignOwned) {
   // SHARP tier 3: with zero requester-owned ways the choice falls back
   // to random-among-all and is flagged forced (the alarm trigger).
-  SetAssoc set = one_set(ReplPolicy::kLru, 4, 1, /*forced_draws=*/true);
+  SetAssoc set = one_set(4, /*forced_draws=*/true);
   for (int w = 0; w < 4; ++w) set.fill(w, 100 + w, 10 + w, /*owner=*/0);
   const auto choice = set.protected_victim(0, /*owner=*/1);
   EXPECT_TRUE(choice.forced);
@@ -293,24 +262,20 @@ TEST(Replacement, ProtectedVictimForcedWhenSetFullyForeignOwned) {
 
 TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
   // cores=1 bit-identity: when every way belongs to the requester the
-  // protected choice must equal victim()'s — including the random
-  // policy's draw (identical rng consumption), or switching the policy
-  // to SHARP would change single-core cycle counts.
-  for (ReplPolicy policy :
-       {ReplPolicy::kLru, ReplPolicy::kFifo, ReplPolicy::kRandom}) {
-    SetAssoc a = one_set(policy, 4, /*seed=*/7, /*forced_draws=*/true);
-    SetAssoc b = one_set(policy, 4, /*seed=*/7);
-    for (int w = 0; w < 4; ++w) {
-      a.fill(w, 100 + w, 10 + w);
-      b.fill(w, 100 + w, 10 + w);
-    }
-    a.touch(1, 20);
-    b.touch(1, 20);
-    for (int i = 0; i < 8; ++i) {
-      const auto choice = a.protected_victim(0, /*owner=*/0);
-      EXPECT_FALSE(choice.forced);
-      EXPECT_EQ(choice.slot, b.victim(0));
-    }
+  // protected choice must equal victim()'s, or switching the policy to
+  // SHARP would change single-core cycle counts.
+  SetAssoc a = one_set(4, /*forced_draws=*/true);
+  SetAssoc b = one_set(4);
+  for (int w = 0; w < 4; ++w) {
+    a.fill(w, 100 + w, 10 + w);
+    b.fill(w, 100 + w, 10 + w);
+  }
+  a.touch(1, 20);
+  b.touch(1, 20);
+  for (int i = 0; i < 8; ++i) {
+    const auto choice = a.protected_victim(0, /*owner=*/0);
+    EXPECT_FALSE(choice.forced);
+    EXPECT_EQ(choice.slot, b.victim(0));
   }
 }
 
@@ -351,8 +316,7 @@ TEST(Replacement, ShippedGeometriesIndexSetsByLineModSets) {
       }
     }
     for (const TlbConfig& cfg : {core.itlb, core.dtlb}) {
-      const SetAssoc store(cfg.num_sets(), cfg.ways, cfg.policy, cfg.seed,
-                           /*owners=*/false, /*forced_draws=*/false);
+      const SetAssoc store(cfg.num_sets(), cfg.ways, /*owners=*/false);
       tlb_sets.insert(cfg.num_sets());
       for (Addr vpage : lines) {
         ASSERT_EQ(static_cast<Addr>(store.set_of(vpage)),
@@ -402,14 +366,10 @@ void expect_reference_draws(const CacheConfig& cfg, int fills,
 
 TEST(Replacement, RandomAndForcedDrawsFollowPerSetReferenceRngs) {
   for (int sets : {3, 4}) {
-    CacheConfig random = small_cache(ReplPolicy::kRandom);
-    random.size_bytes = static_cast<std::uint64_t>(sets) * 4 * 64;
-    random.seed = 41;
-    expect_reference_draws(random, 60, [](int) { return 0; });
     // SHARP-forced: each fill's requester owns no way anywhere, so every
     // eviction is a forced uniform draw from the set's Rng.
-    CacheConfig forced = small_cache(ReplPolicy::kLru);
-    forced.size_bytes = random.size_bytes;
+    CacheConfig forced = small_cache();
+    forced.size_bytes = static_cast<std::uint64_t>(sets) * 4 * 64;
     forced.seed = 43;
     forced.protection = CacheProtection::kSharp;
     expect_reference_draws(forced, 60, [](int i) { return 1 + i; });
@@ -505,11 +465,9 @@ std::size_t allocations_of(Make make) {
 TEST(SetAssocTest, BuildingALevelAllocatesAFixedFewBlocks) {
   // Per-level arrays, not per-set containers: 16 sets or 2048 sets cost
   // the same handful of allocations.
-  for (const auto& [policy, protection] :
-       {std::pair{ReplPolicy::kLru, CacheProtection::kNone},
-        std::pair{ReplPolicy::kRandom, CacheProtection::kNone},
-        std::pair{ReplPolicy::kLru, CacheProtection::kSharp}}) {
-    CacheConfig small = small_cache(policy);
+  for (const CacheProtection protection :
+       {CacheProtection::kNone, CacheProtection::kSharp}) {
+    CacheConfig small = small_cache();
     small.protection = protection;
     CacheConfig big = small;
     big.size_bytes *= 128;

@@ -58,13 +58,13 @@ void usage(const char* prog, std::FILE* out) {
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  const auto write = [&text](std::FILE* f) {
+    std::fwrite(text.data(), 1, text.size(), f);
+  };
+  if (!cli::write_file(path, write, "wb")) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
   return true;
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "campaign/perf_artifacts.h"
+#include "common/cli.h"
 
 namespace {
 
@@ -182,14 +183,13 @@ int main(int argc, char** argv) {
   }
 
   std::fputs(report.c_str(), stdout);
-  if (!summary_path.empty()) {
-    std::FILE* f = std::fopen(summary_path.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot append to %s\n", summary_path.c_str());
-      return 2;
-    }
+  const auto append = [&report](std::FILE* f) {
     std::fputs(report.c_str(), f);
-    std::fclose(f);
+  };
+  if (!summary_path.empty() &&
+      !safespec::cli::write_file(summary_path, append, "a")) {
+    std::fprintf(stderr, "cannot append to %s\n", summary_path.c_str());
+    return 2;
   }
   return rc;
 }

@@ -96,14 +96,9 @@ void usage(const char* prog, std::FILE* out) {
       prog);
 }
 
-void write_json(const std::string& path, std::uint64_t instrs, int repeat,
+void write_json(std::FILE* f, std::uint64_t instrs, int repeat,
                 const std::vector<Cell>& cells,
                 const std::vector<CellRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(2);
-  }
   std::uint64_t total_instrs = 0;
   double total_ms = 0.0;
   double total_setup_ms = 0.0;
@@ -144,7 +139,6 @@ void write_json(const std::string& path, std::uint64_t instrs, int repeat,
                " \"mips\": %.2f}\n}\n",
                static_cast<unsigned long long>(total_instrs), total_setup_ms,
                total_ms, mips(total_instrs, total_ms));
-  std::fclose(f);
 }
 
 }  // namespace
@@ -280,6 +274,12 @@ int main(int argc, char** argv) {
               mips(total_instrs, total_ms), total_setup_ms, runs.size(),
               repeat);
 
-  if (out_path != "-") write_json(out_path, instrs, repeat, cells, runs);
+  const auto write = [&](std::FILE* f) {
+    write_json(f, instrs, repeat, cells, runs);
+  };
+  if (out_path != "-" && !cli::write_file(out_path, write)) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 2;
+  }
   return 0;
 }
