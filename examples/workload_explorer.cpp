@@ -38,18 +38,16 @@ int main(int argc, char** argv) {
   }
 
   auto machine = experiment::resolve_machine(opts);
-  // Policy precedence: positional (any registered name; legacy lowercase
-  // aliases kept) > --config/--set policy > WFC.
+  // Policy precedence: positional (any registered name) > --config/--set
+  // policy > WFC.
   bool machine_policy_chosen = !opts.config_path.empty();
   for (const auto& kv : opts.overrides) {
     if (kv.rfind("policy=", 0) == 0) machine_policy_chosen = true;
   }
-  std::string policy_name =
+  const std::string policy_name =
       opts.positional.size() > 1
           ? opts.positional[1]
           : machine_policy_chosen ? machine.core.policy : std::string("WFC");
-  if (policy_name == "wfb") policy_name = "WFB";
-  if (policy_name == "wfc") policy_name = "WFC";
   const std::uint64_t instrs =
       opts.positional.size() > 2
           ? cli::parse_budget_or_exit(opts.positional[2].c_str(), "instrs")
@@ -85,7 +83,7 @@ int main(int argc, char** argv) {
               r.dcache_miss_rate_incl_shadow());
   std::printf("i-cache miss rate    %.4f (incl. shadow)\n",
               r.icache_miss_rate_incl_shadow());
-  if (policy::named_policy(policy_name).shadows_speculation()) {
+  if (policy::named_policy(policy_name).shadows_speculation) {
     std::printf("shadow d-cache       hits=%llu commit-rate=%.3f "
                 "p99.99-occupancy=%llu\n",
                 static_cast<unsigned long long>(r.shadow_dcache_hits),

@@ -30,6 +30,34 @@ std::string ReceiverReading::describe() const {
          " margin=" + std::to_string(margin);
 }
 
+void emit_v1_training(ProgramBuilder& b) {
+  b.movi(kRegTrainC, 0);
+  b.label("train_loop");
+  b.alui(AluOp::kAnd, kRegOffset, kRegTrainC, 0x7);  // offsets 0..7, in bounds
+  b.call("victim");
+  b.alui(AluOp::kAdd, kRegTrainC, kRegTrainC, 1);
+  b.movi(kRegV4, 24);
+  b.branch(CondOp::kLt, kRegTrainC, kRegV4, "train_loop");
+}
+
+void emit_v1_victim(ProgramBuilder& b) {
+  b.label("victim");
+  b.movi(kRegBoundP, static_cast<std::int64_t>(Layout::kBound));
+  b.load(kRegV1, kRegBoundP, 0);                     // r3 = array1_size
+  b.branch(CondOp::kGeu, kRegOffset, kRegV1, "skip");
+  b.alui(AluOp::kShl, kRegV2, kRegOffset, 3);        // offset * 8
+  b.movi(kRegV3, static_cast<std::int64_t>(Layout::kArray1));
+  b.alu(AluOp::kAdd, kRegV2, kRegV2, kRegV3);
+  b.load(kRegV2, kRegV2, 0);                         // v = array1[offset]
+  // Short transmit chain (one shift, probe base as displacement): the
+  // probe touch must issue before the bounds check resolves.
+  b.alui(AluOp::kShl, kRegV2, kRegV2, 8);            // v * kProbeStride
+  b.load(kRegV4, kRegV2,
+         static_cast<std::int64_t>(Layout::kProbe));  // touch probe[v]
+  b.label("skip");
+  b.ret();
+}
+
 void emit_probe_flush(ProgramBuilder& b, const std::string& label_prefix) {
   const std::string loop = label_prefix + "_flush_loop";
   b.movi(kRegC, 0);

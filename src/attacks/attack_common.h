@@ -50,6 +50,27 @@ inline constexpr RegIndex kRegT2 = 24;
 inline constexpr RegIndex kRegProbeBase = 25;
 inline constexpr RegIndex kRegResultBase = 26;
 
+/// Registers of the Spectre-v1 victim and its training loop (attack
+/// bodies reuse them for their own values elsewhere).
+inline constexpr RegIndex kRegOffset = 1;  ///< victim call argument
+inline constexpr RegIndex kRegBoundP = 2;
+inline constexpr RegIndex kRegV1 = 3;
+inline constexpr RegIndex kRegV2 = 4;
+inline constexpr RegIndex kRegV3 = 5;
+inline constexpr RegIndex kRegV4 = 6;
+inline constexpr RegIndex kRegTrainC = 7;
+
+/// Emits the training loop: 24 calls of "victim" with in-bounds offsets
+/// 0..7 in kRegOffset, so the victim's bounds check learns "in bounds".
+/// Clobbers kRegTrainC and kRegV4.
+void emit_v1_training(isa::ProgramBuilder& b);
+
+/// Emits the Spectre-v1 victim function at label "victim": load
+/// array1_size, bounds-check kRegOffset against it (the mistrained
+/// branch), read array1[offset] (the secret when out of bounds) and
+/// touch probe[value]; then return from label "skip".
+void emit_v1_victim(isa::ProgramBuilder& b);
+
 /// Emits a loop flushing every probe-array candidate line, then a fence.
 /// Clobbers the shared registers above. `label_prefix` keeps builder
 /// labels unique when the fragment is emitted more than once.
@@ -96,7 +117,7 @@ ReceiverReading read_receiver(const sim::Simulator& sim, int c);
 /// Outcome of one attack run.
 struct AttackOutcome {
   std::string name;
-  std::string policy = "baseline";  ///< protection-policy registry name
+  std::string policy = "baseline";  ///< protection-policy name
   int secret = -1;        ///< planted value
   int recovered = -1;     ///< attacker's best guess (-1: nothing recovered)
   bool leaked = false;    ///< recovered == secret with clear margin

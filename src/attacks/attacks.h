@@ -53,7 +53,7 @@ AttackOutcome run_dtlb_attack(const std::string& policy, int secret);
 /// and full policy so the bench can show the channel opening when the
 /// structure is undersized and closing under worst-case sizing (§V).
 struct TsaConfig {
-  std::string policy = "WFC";  ///< protection-policy registry name
+  std::string policy = "WFC";  ///< protection-policy name
   int shadow_entries = 8;  ///< undersized by default; 72 = secure sizing
   shadow::FullPolicy full_policy = shadow::FullPolicy::kDrop;
 };

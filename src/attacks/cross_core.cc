@@ -35,16 +35,9 @@ constexpr std::int64_t kSpyAt = 30'000;    ///< spy flush / prime phase
 constexpr std::int64_t kStrikeAt = 60'000; ///< victim's malicious call
 constexpr std::int64_t kRxAt = 90'000;     ///< spy receiver phase
 
-// Victim-program registers (the spy program reuses the same numbers —
-// different core, different register file).
-constexpr RegIndex kRegOffset = 1;  ///< victim call argument
-constexpr RegIndex kRegBoundP = 2;
-constexpr RegIndex kRegV1 = 3;
-constexpr RegIndex kRegV2 = 4;
-constexpr RegIndex kRegV3 = 5;
-constexpr RegIndex kRegV4 = 6;
-constexpr RegIndex kRegTrainC = 7;
-constexpr RegIndex kRegIter = 10;   ///< storm iteration counter
+// The spy program reuses the victim's register numbers (attack_common.h)
+// — different core, different register file.
+constexpr RegIndex kRegIter = 10;  ///< storm iteration counter
 
 /// Spin until the core-local cycle counter reaches `cycle`.
 void emit_wait_until(ProgramBuilder& b, const std::string& label,
@@ -56,38 +49,16 @@ void emit_wait_until(ProgramBuilder& b, const std::string& label,
   b.fence();
 }
 
-/// The Spectre-v1 victim function: bounds check, secret read, probe
-/// touch. Identical gadget to the single-core PoC; only the attacker
-/// moved to another core.
-void emit_victim_fn(ProgramBuilder& b) {
-  b.label("victim");
-  b.movi(kRegBoundP, static_cast<std::int64_t>(Layout::kBound));
-  b.load(kRegV1, kRegBoundP, 0);
-  b.branch(CondOp::kGeu, kRegOffset, kRegV1, "skip");
-  b.alui(AluOp::kShl, kRegV2, kRegOffset, 3);
-  b.movi(kRegV3, static_cast<std::int64_t>(Layout::kArray1));
-  b.alu(AluOp::kAdd, kRegV2, kRegV2, kRegV3);
-  b.load(kRegV2, kRegV2, 0);
-  b.alui(AluOp::kShl, kRegV2, kRegV2, 8);
-  b.load(kRegV4, kRegV2, static_cast<std::int64_t>(Layout::kProbe));
-  b.label("skip");
-  b.ret();
-}
-
 /// Victim main: train in-bounds, wait for the strike barrier, make the
-/// malicious call. `rewarm_secret` re-touches the secret architecturally
-/// right before striking (the evict variant's spy collaterally evicts it
-/// from the shared set, and a victim that recently used its own datum is
-/// the same assumption warm_secret models).
+/// malicious call to the single-core PoC's victim function (only the
+/// attacker moved to another core). `rewarm_secret` re-touches the
+/// secret architecturally right before striking (the evict variant's spy
+/// collaterally evicts it from the shared set, and a victim that
+/// recently used its own datum is the same assumption warm_secret
+/// models).
 isa::Program build_victim(int /*secret*/, bool rewarm_secret) {
   ProgramBuilder b(Layout::kText);
-  b.movi(kRegTrainC, 0);
-  b.label("train_loop");
-  b.alui(AluOp::kAnd, kRegOffset, kRegTrainC, 0x7);  // offsets 0..7, in bounds
-  b.call("victim");
-  b.alui(AluOp::kAdd, kRegTrainC, kRegTrainC, 1);
-  b.movi(kRegV4, 24);
-  b.branch(CondOp::kLt, kRegTrainC, kRegV4, "train_loop");
+  emit_v1_training(b);
 
   emit_wait_until(b, "v_strike_wait", kStrikeAt);
   if (rewarm_secret) {
@@ -102,7 +73,7 @@ isa::Program build_victim(int /*secret*/, bool rewarm_secret) {
   b.fence();
   b.halt();
 
-  emit_victim_fn(b);
+  emit_v1_victim(b);
   auto program = b.build();
   program.set_entry(Layout::kText);
   return program;

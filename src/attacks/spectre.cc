@@ -8,18 +8,6 @@ using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
 
-namespace {
-
-constexpr RegIndex kRegOffset = 1;   ///< victim call argument
-constexpr RegIndex kRegBoundP = 2;
-constexpr RegIndex kRegV1 = 3;
-constexpr RegIndex kRegV2 = 4;
-constexpr RegIndex kRegV3 = 5;
-constexpr RegIndex kRegV4 = 6;
-constexpr RegIndex kRegTrainC = 7;
-
-}  // namespace
-
 AttackOutcome run_spectre_v1(const std::string& policy, int secret) {
   // Program layout:
   //   main: train loop (8 in-bounds victim calls)
@@ -35,13 +23,7 @@ AttackOutcome run_spectre_v1(const std::string& policy, int secret) {
   ProgramBuilder b(Layout::kText);
 
   // ---- main: training --------------------------------------------------
-  b.movi(kRegTrainC, 0);
-  b.label("train_loop");
-  b.alui(AluOp::kAnd, kRegOffset, kRegTrainC, 0x7);  // offsets 0..7, in bounds
-  b.call("victim");
-  b.alui(AluOp::kAdd, kRegTrainC, kRegTrainC, 1);
-  b.movi(kRegV4, 24);
-  b.branch(CondOp::kLt, kRegTrainC, kRegV4, "train_loop");
+  emit_v1_training(b);
 
   // ---- main: widen the window and strike --------------------------------
   emit_probe_flush(b, "v1");
@@ -59,21 +41,7 @@ AttackOutcome run_spectre_v1(const std::string& policy, int secret) {
   b.halt();
 
   // ---- victim ------------------------------------------------------------
-  b.label("victim");
-  b.movi(kRegBoundP, static_cast<std::int64_t>(Layout::kBound));
-  b.load(kRegV1, kRegBoundP, 0);                     // r3 = array1_size
-  b.branch(CondOp::kGeu, kRegOffset, kRegV1, "skip");
-  b.alui(AluOp::kShl, kRegV2, kRegOffset, 3);        // offset * 8
-  b.movi(kRegV3, static_cast<std::int64_t>(Layout::kArray1));
-  b.alu(AluOp::kAdd, kRegV2, kRegV2, kRegV3);
-  b.load(kRegV2, kRegV2, 0);                         // v = array1[offset]
-  // Short transmit chain (one shift, probe base as displacement): the
-  // probe touch must issue before the bounds check resolves.
-  b.alui(AluOp::kShl, kRegV2, kRegV2, 8);            // v * kProbeStride
-  b.load(kRegV4, kRegV2,
-         static_cast<std::int64_t>(Layout::kProbe));  // touch probe[v]
-  b.label("skip");
-  b.ret();
+  emit_v1_victim(b);
 
   auto program = b.build();
   program.set_entry(Layout::kText);

@@ -26,13 +26,7 @@ constexpr Addr kFnPages = 0x7000000;  ///< iTLB variant: one target per page
 /// polluted one), pre-warm the secret's line so the inner data-dependent
 /// step resolves well before the flushed bounds check, then strike.
 void emit_train_and_strike(ProgramBuilder& b) {
-  b.movi(7, 0);
-  b.label("train_loop");
-  b.alui(AluOp::kAnd, 1, 7, 0x7);
-  b.call("victim");
-  b.alui(AluOp::kAdd, 7, 7, 1);
-  b.movi(6, 24);
-  b.branch(CondOp::kLt, 7, 6, "train_loop");
+  emit_v1_training(b);
 
   // Pre-warm the secret line: the inner (data-dependent) transfer must
   // resolve before the outer bounds check does.

@@ -134,7 +134,7 @@ std::string repro_command(const FuzzAxis& fuzz, std::uint64_t seed) {
 }
 
 std::string render_triage_text(const TriageReport& report,
-                               const Manifest* manifest) {
+                               const Manifest& manifest) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof line,
@@ -144,7 +144,6 @@ std::string render_triage_text(const TriageReport& report,
                 static_cast<unsigned long long>(report.failures),
                 report.groups.size());
   out += line;
-  const FuzzAxis axis = manifest != nullptr ? manifest->fuzz : FuzzAxis{};
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
     const TriageGroup& group = report.groups[g];
     std::snprintf(line, sizeof line,
@@ -166,7 +165,8 @@ std::string render_triage_text(const TriageReport& report,
       out += " ... (" + std::to_string(group.seeds.size() - shown) + " more)";
     }
     out += "\n";
-    out += "  repro:       " + repro_command(axis, group.first_seed) + "\n";
+    out += "  repro:       " +
+           repro_command(manifest.fuzz, group.first_seed) + "\n";
   }
   return out;
 }

@@ -61,10 +61,9 @@ TriageReport triage_merged_file(const std::string& merged_path);
 std::string repro_command(const FuzzAxis& fuzz, std::uint64_t seed);
 
 /// Human-readable report: per group, every violation of its first seed
-/// and one repro command; `manifest` may be null when only a merged file
-/// was available (the repro then names no axis).
+/// and one repro command naming the manifest's fuzz axes.
 std::string render_triage_text(const TriageReport& report,
-                               const Manifest* manifest);
+                               const Manifest& manifest);
 
 /// Machine-readable single-object JSON of the same report ("example" is
 /// the first seed's first violation).

@@ -21,22 +21,24 @@ namespace {
 /// Maximum decoded-but-undispatched instructions buffered by the front
 /// end. Sized to cover the fetch-to-dispatch delay at full width.
 constexpr int kFetchBufferCap = 48;
+}  // namespace
 
-/// Resolves the configured policy name and applies its full-table
-/// handling override to every shadow structure — and its cache-level
-/// protection (SHARP family) to every hierarchy level — before anything
-/// is built. The Simulator applies the same hierarchy tune when it
-/// constructs the shared L2/L3, so private and shared levels agree.
 CoreConfig tuned_config(CoreConfig c) {
-  const auto& p = policy::named_policy(c.policy);
-  p.tune(c.shadow_dcache);
-  p.tune(c.shadow_icache);
-  p.tune(c.shadow_dtlb);
-  p.tune(c.shadow_itlb);
-  p.tune(c.hierarchy, c.sharp_alarm_threshold, c.sharp_alarm_epoch);
+  const policy::ProtectionPolicy& p = policy::named_policy(c.policy);
+  if (p.full_policy_override) {
+    for (shadow::ShadowConfig* s : {&c.shadow_dcache, &c.shadow_icache,
+                                    &c.shadow_dtlb, &c.shadow_itlb}) {
+      s->full_policy = *p.full_policy_override;
+    }
+  }
+  for (memory::CacheConfig* level : {&c.hierarchy.l1i, &c.hierarchy.l1d,
+                                     &c.hierarchy.l2, &c.hierarchy.l3}) {
+    level->protection = p.cache_protection;
+    level->alarm_threshold = c.sharp_alarm_threshold;
+    level->alarm_epoch_ticks = c.sharp_alarm_epoch;
+  }
   return c;
 }
-}  // namespace
 
 const char* to_string(StopReason reason) {
   switch (reason) {
@@ -56,10 +58,7 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
            memory::MainMemory* mem, memory::PageTable* page_table,
            memory::SharedLevels& shared_levels, int core_id)
     : config_(tuned_config(config)),
-      policy_(&policy::named_policy(config_.policy)),
-      protection_on_(policy_->shadows_speculation()),
-      promote_at_resolution_(policy_->promote_at_branch_resolution()),
-      annul_on_squash_(policy_->annul_on_squash()),
+      policy_(policy::named_policy(config_.policy)),
       program_(program),
       mem_(mem),
       page_table_(page_table),
@@ -304,7 +303,9 @@ void Core::rebuild_rename_map() {
 // --------------------------------------------------------------------------
 
 void Core::stage_commit() {
-  if (promote_at_resolution_ && !rob_.empty()) promote_eligible();
+  if (policy_.promote_at_branch_resolution && !rob_.empty()) {
+    promote_eligible();
+  }
 
   for (int n = 0; n < config_.commit_width && !rob_.empty(); ++n) {
     DynInst& head = rob_.front();
@@ -464,7 +465,7 @@ void Core::release_shadow(DynInst& di) {
     // releasing them. The shadow entries stay live forever, so the
     // empty-shadows-after-drain invariant must trip.
     di.drop_shadow_refs();
-  } else if (annul_on_squash_) {
+  } else if (policy_.annul_on_squash) {
     settle_shadow(di, /*promote=*/false);
   } else {
     // Squash handling is a policy decision point: every shipped policy

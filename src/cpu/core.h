@@ -124,9 +124,9 @@ struct CoreConfig {
   memory::TlbConfig dtlb{.name = "dTLB", .entries = 64, .ways = 4};
 
   // ---- SafeSpec --------------------------------------------------------
-  /// Registry key of the protection policy ("baseline", "WFB", "WFC",
-  /// "WFB-stall", or any policy::register_policy() addition). Resolved
-  /// through policy::named_policy() when the core is built.
+  /// Name of the protection policy ("baseline", "WFB", "WFC",
+  /// "WFB-stall", ...). Resolved through policy::named_policy() when the
+  /// core is built.
   std::string policy = "baseline";
   /// Worst-case ("Secure") sizing by default: LDQ-bound for the d-side,
   /// ROB-bound for the i-side (§V / §VII). Benchmarks shrink these to
@@ -140,14 +140,23 @@ struct CoreConfig {
   /// Alarms within one epoch before the SHARP detector flags a detection
   /// (the exemplar's 2,000-alarms-per-epoch recommendation), and the
   /// epoch length in replacement stamps. Applied to every cache level by
-  /// the policy's hierarchy tune(); inert unless the policy selects a
-  /// CacheProtection (SHARP / detect-only).
+  /// tuned_config(); inert unless the policy selects a CacheProtection
+  /// (SHARP / detect-only).
   std::uint64_t sharp_alarm_threshold = 2000;
   std::uint64_t sharp_alarm_epoch = 1'000'000'000;
 
   /// Mutation-testing defect injection (see MutationHooks).
   MutationHooks mutation;
 };
+
+/// `c` with its protection policy applied: the policy's full-table
+/// override on the four shadow structures, and its cache protection
+/// with the SHARP detector settings on every cache level. The only code
+/// that applies a policy to a config: the core builds from it and the
+/// Simulator builds the shared L2/L3 from its `.hierarchy`, so private
+/// and shared levels agree. Throws std::out_of_range on an unknown
+/// policy name.
+CoreConfig tuned_config(CoreConfig c);
 
 /// Why a run ended.
 enum class StopReason : std::uint8_t {
@@ -269,7 +278,7 @@ class Core {
 
   const CoreConfig& config() const { return config_; }
   const policy::ProtectionPolicy& protection_policy() const {
-    return *policy_;
+    return policy_;
   }
 
   /// Restarts control flow at `pc` with empty pipeline (between attack
@@ -332,7 +341,7 @@ class Core {
   /// Clock advance shared by step() and skip_quiet().
   void advance_clock(Cycle n);
 
-  /// WFB promotion sweep (promote_at_resolution_ policies): promotes,
+  /// WFB promotion sweep (promote_at_branch_resolution policies): promotes,
   /// oldest first, every eligible entry below the frontier (the oldest
   /// unresolved branch) that is not yet promoted — the queued eligibility
   /// events below the scan point, then [promote_scan_, frontier).
@@ -341,7 +350,7 @@ class Core {
   /// (a non-branch issued, or a branch resolved). Entries at or past the
   /// scan point need no event: the frontier reaches them later.
   void note_eligible(SeqNum seq) {
-    if (promote_at_resolution_ && seq < promote_scan_) {
+    if (policy_.promote_at_branch_resolution && seq < promote_scan_) {
       promote_events_.push_back(seq);
     }
   }
@@ -409,19 +418,14 @@ class Core {
   void bind_operand(SeqNum consumer, RegIndex reg, std::uint64_t& value,
                     bool& ready, SeqNum& producer);
 
-  bool protection_on() const { return protection_on_; }
+  bool protection_on() const { return policy_.shadows_speculation; }
 
   /// Removes `seq` from a sorted seq vector (no-op when absent).
   static void erase_seq(std::vector<SeqNum>& seqs, SeqNum seq);
 
   // ---- configuration / substrate ---------------------------------------
   CoreConfig config_;
-  const policy::ProtectionPolicy* policy_;  ///< registry singleton
-  // Policy decision points cached out of the virtual calls — consulted
-  // several times per simulated cycle, fixed for the core's lifetime.
-  bool protection_on_ = false;
-  bool promote_at_resolution_ = false;
-  bool annul_on_squash_ = true;
+  policy::ProtectionPolicy policy_;  ///< config_.policy's table row
   const isa::Program* program_;
   memory::MainMemory* mem_;
   memory::PageTable* page_table_;

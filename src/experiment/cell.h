@@ -34,8 +34,8 @@ struct Cell {
   /// trace:@NAME (profile NAME through the trace codec in memory) and
   /// trace:PATH (a trace file).
   std::string workload;
-  std::string policy = "baseline";  ///< protection-policy registry name
-  std::string preset = "skylake";   ///< machine-preset registry name
+  std::string policy = "baseline";  ///< protection-policy name
+  std::string preset = "skylake";   ///< machine-preset name
   /// MachineSpec::set "key=value" strings, applied after the preset.
   std::vector<std::string> overrides;
   /// How the cell runs:

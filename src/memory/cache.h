@@ -26,7 +26,7 @@ struct CacheConfig {
   std::uint64_t seed = 1;  ///< for SHARP's forced victim draws
 
   /// Victim-selection protection (SHARP / detect-only). kNone for every
-  /// pre-existing policy; the ProtectionPolicy's tune() sets it.
+  /// pre-existing policy; cpu::tuned_config() sets it.
   CacheProtection protection = CacheProtection::kNone;
   /// SHARP detector: alarms within one epoch before a detection fires.
   /// The exemplar recommends 2,000 alarms per epoch.

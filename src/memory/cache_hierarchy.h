@@ -30,8 +30,8 @@ class CacheHierarchy;
 /// Which structure ultimately supplied the data.
 enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kMemory };
 
-/// Configuration of the whole hierarchy (the Table II defaults are the
-/// "skylake" preset in sim/machine.cc).
+/// Configuration of the whole hierarchy. The defaults are Table II (the
+/// "skylake" preset is the config structs' defaults).
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I", .size_bytes = 32 * 1024, .ways = 8,
                   .line_bytes = 64, .hit_latency = 4};

@@ -18,8 +18,8 @@
 namespace safespec::memory {
 
 /// Cache-level protection applied at victim selection, on top of LRU
-/// (set via CacheConfig::protection, chosen by the ProtectionPolicy in
-/// the registry).
+/// (set via CacheConfig::protection, chosen by the protection policy's
+/// cache_protection).
 enum class CacheProtection : std::uint8_t {
   kNone,        ///< historical behaviour: owner-blind victim choice
   kSharp,       ///< SHARP: prefer requester-owned ways, alarm when forced

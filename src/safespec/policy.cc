@@ -1,141 +1,71 @@
 #include "safespec/policy.h"
 
-#include <utility>
-
-#include "common/registry.h"
-#include "memory/cache_hierarchy.h"
+#include <stdexcept>
 
 namespace safespec::policy {
 
 namespace {
 
-class BaselinePolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "baseline"; }
-  const char* description() const override {
-    return "insecure out-of-order baseline: speculative fills go straight "
-           "into the primary caches/TLBs";
-  }
-  bool shadows_speculation() const override { return false; }
-  bool promote_at_branch_resolution() const override { return false; }
+/// The policy family, sorted by name: registered_policy_names() and the
+/// unknown-name error list the names in this order.
+constexpr ProtectionPolicy kPolicies[] = {
+    {.name = "SHARP",
+     .description = "SHARP-style protected replacement: victims prefer "
+                    "requester-owned ways, forced cross-owner evictions "
+                    "raise alarms and feed a threshold/epoch detector (no "
+                    "shadow structures; speculative fills are unshadowed)",
+     .shadows_speculation = false,
+     .promote_at_branch_resolution = false,
+     .cache_protection = memory::CacheProtection::kSharp},
+    {.name = "WFB",
+     .description = "wait-for-branch: shadow state promotes once every "
+                    "older branch has resolved",
+     .shadows_speculation = true,
+     .promote_at_branch_resolution = true},
+    {.name = "WFB-stall",
+     .description = "wait-for-branch with stall-on-full shadows: undersized "
+                    "tables stall the requester instead of dropping (closes "
+                    "the TSA drop channel, §V)",
+     .shadows_speculation = true,
+     .promote_at_branch_resolution = true,
+     .full_policy_override = shadow::FullPolicy::kStall},
+    {.name = "WFC",
+     .description = "wait-for-commit: shadow state promotes only when its "
+                    "producing instruction commits",
+     .shadows_speculation = true,
+     .promote_at_branch_resolution = false},
+    {.name = "baseline",
+     .description = "insecure out-of-order baseline: speculative fills go "
+                    "straight into the primary caches/TLBs",
+     .shadows_speculation = false,
+     .promote_at_branch_resolution = false},
+    {.name = "detect-only",
+     .description = "baseline timing plus telemetry: victim selection is "
+                    "unchanged, but every cross-owner eviction raises an "
+                    "alarm and feeds the threshold/epoch detector",
+     .shadows_speculation = false,
+     .promote_at_branch_resolution = false,
+     .cache_protection = memory::CacheProtection::kDetectOnly},
 };
-
-class WfbPolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "WFB"; }
-  const char* description() const override {
-    return "wait-for-branch: shadow state promotes once every older "
-           "branch has resolved";
-  }
-  bool shadows_speculation() const override { return true; }
-  bool promote_at_branch_resolution() const override { return true; }
-};
-
-class WfcPolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "WFC"; }
-  const char* description() const override {
-    return "wait-for-commit: shadow state promotes only when its "
-           "producing instruction commits";
-  }
-  bool shadows_speculation() const override { return true; }
-  bool promote_at_branch_resolution() const override { return false; }
-};
-
-class WfbStallPolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "WFB-stall"; }
-  const char* description() const override {
-    return "wait-for-branch with stall-on-full shadows: undersized "
-           "tables stall the requester instead of dropping (closes the "
-           "TSA drop channel, §V)";
-  }
-  bool shadows_speculation() const override { return true; }
-  bool promote_at_branch_resolution() const override { return true; }
-  std::optional<shadow::FullPolicy> full_policy_override() const override {
-    return shadow::FullPolicy::kStall;
-  }
-};
-
-class SharpPolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "SHARP"; }
-  const char* description() const override {
-    return "SHARP-style protected replacement: victims prefer "
-           "requester-owned ways, forced cross-owner evictions raise "
-           "alarms and feed a threshold/epoch detector (no shadow "
-           "structures; speculative fills are unshadowed)";
-  }
-  bool shadows_speculation() const override { return false; }
-  bool promote_at_branch_resolution() const override { return false; }
-  memory::CacheProtection cache_protection() const override {
-    return memory::CacheProtection::kSharp;
-  }
-};
-
-class DetectOnlyPolicy final : public ProtectionPolicy {
- public:
-  const char* name() const override { return "detect-only"; }
-  const char* description() const override {
-    return "baseline timing plus telemetry: victim selection is "
-           "unchanged, but every cross-owner eviction raises an alarm "
-           "and feeds the threshold/epoch detector";
-  }
-  bool shadows_speculation() const override { return false; }
-  bool promote_at_branch_resolution() const override { return false; }
-  memory::CacheProtection cache_protection() const override {
-    return memory::CacheProtection::kDetectOnly;
-  }
-};
-
-NamedRegistry<std::unique_ptr<const ProtectionPolicy>>& registry() {
-  static auto* r = [] {
-    auto* reg = new NamedRegistry<std::unique_ptr<const ProtectionPolicy>>(
-        "protection policy");
-    auto add = [&](std::unique_ptr<const ProtectionPolicy> p) {
-      const std::string key = p->name();
-      reg->add(key, std::move(p));
-    };
-    add(std::make_unique<BaselinePolicy>());
-    add(std::make_unique<WfbPolicy>());
-    add(std::make_unique<WfcPolicy>());
-    add(std::make_unique<WfbStallPolicy>());
-    add(std::make_unique<SharpPolicy>());
-    add(std::make_unique<DetectOnlyPolicy>());
-    return reg;
-  }();
-  return *r;
-}
 
 }  // namespace
 
-void ProtectionPolicy::tune(memory::HierarchyConfig& config,
-                            std::uint64_t alarm_threshold,
-                            std::uint64_t alarm_epoch_ticks) const {
-  const memory::CacheProtection prot = cache_protection();
-  for (memory::CacheConfig* level :
-       {&config.l1i, &config.l1d, &config.l2, &config.l3}) {
-    level->protection = prot;
-    level->alarm_threshold = alarm_threshold;
-    level->alarm_epoch_ticks = alarm_epoch_ticks;
-  }
-}
-
 const ProtectionPolicy& named_policy(const std::string& name) {
-  return *registry().at(name);
-}
-
-bool is_registered_policy(const std::string& name) {
-  return registry().contains(name);
+  for (const ProtectionPolicy& p : kPolicies) {
+    if (name == p.name) return p;
+  }
+  std::string known;
+  for (const ProtectionPolicy& p : kPolicies) {
+    known += (known.empty() ? "" : ", ") + std::string(p.name);
+  }
+  throw std::out_of_range("unknown protection policy \"" + name +
+                          "\" (registered: " + known + ")");
 }
 
 std::vector<std::string> registered_policy_names() {
-  return registry().names();
-}
-
-void register_policy(std::unique_ptr<const ProtectionPolicy> policy) {
-  const std::string key = policy->name();
-  registry().add(key, std::move(policy));
+  std::vector<std::string> names;
+  for (const ProtectionPolicy& p : kPolicies) names.emplace_back(p.name);
+  return names;
 }
 
 }  // namespace safespec::policy

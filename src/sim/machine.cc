@@ -1,7 +1,6 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include <variant>
 
 #include "common/json.h"
-#include "common/registry.h"
 #include "safespec/policy.h"
 
 namespace safespec::sim {
@@ -44,7 +42,7 @@ const char* direction_kind_name(predictor::DirectionKind kind) {
 
 // ---- the field table --------------------------------------------------------
 
-/// A protection-policy name, checked against the policy registry.
+/// A protection-policy name, checked against the policy table.
 struct PolicyName {
   std::string* name;
 };
@@ -72,7 +70,6 @@ std::vector<Field> fields(MachineSpec& spec) {
       {"policy", "policy", PolicyName{&c.policy}},
       {"allow_undersized_shadows", "allow_undersized_shadows",
        &spec.allow_undersized_shadows},
-      {"map_text", "map_text", &spec.map_text},
       {"trace", "trace", &spec.trace},
       {"cores", "cores", &c.cores},
       {"fetch_width", "core.fetch_width", &c.fetch_width},
@@ -293,40 +290,7 @@ std::string unknown_key_message(const std::string& key,
          "\" (see MachineSpec::set in src/sim/machine.h for the grammar)";
 }
 
-// ---- preset registry -------------------------------------------------------
-
-/// Tables I and II: the 6-wide SkyLake-like core the paper evaluates.
-MachineSpec skylake_preset() {
-  MachineSpec spec;
-  spec.preset = "skylake";
-  cpu::CoreConfig& c = spec.core;
-  // Table I.
-  c.issue_width = 6;
-  c.fetch_width = 6;
-  c.commit_width = 6;
-  c.iq_entries = 96;
-  c.rob_entries = 224;
-  c.ldq_entries = 72;
-  c.stq_entries = 56;
-  c.itlb = {.name = "iTLB", .entries = 64, .ways = 4};
-  c.dtlb = {.name = "dTLB", .entries = 64, .ways = 4};
-  // Table II (line size 64 B everywhere).
-  c.hierarchy.l1i = {.name = "L1I", .size_bytes = 32 * 1024, .ways = 8,
-                     .line_bytes = 64, .hit_latency = 4};
-  c.hierarchy.l1d = {.name = "L1D", .size_bytes = 32 * 1024, .ways = 8,
-                     .line_bytes = 64, .hit_latency = 4};
-  c.hierarchy.l2 = {.name = "L2", .size_bytes = 256 * 1024, .ways = 4,
-                    .line_bytes = 64, .hit_latency = 12};
-  c.hierarchy.l3 = {.name = "L3", .size_bytes = 2 * 1024 * 1024, .ways = 16,
-                    .line_bytes = 64, .hit_latency = 44};
-  c.hierarchy.memory_latency = 191;
-  // SafeSpec: worst-case ("Secure") sizing, LDQ-/ROB-bound (§V).
-  c.shadow_dcache = {.name = "shadow-dcache", .entries = c.ldq_entries};
-  c.shadow_icache = {.name = "shadow-icache", .entries = c.rob_entries};
-  c.shadow_dtlb = {.name = "shadow-dtlb", .entries = c.ldq_entries};
-  c.shadow_itlb = {.name = "shadow-itlb", .entries = c.rob_entries};
-  return spec;
-}
+// ---- presets ---------------------------------------------------------------
 
 /// A little 2-wide embedded-class core: shallow queues, small caches, a
 /// bimodal predictor — the second preset the sweep axes can name. Shadow
@@ -367,16 +331,15 @@ MachineSpec embedded_preset() {
   return spec;
 }
 
-NamedRegistry<std::function<MachineSpec()>>& preset_registry() {
-  static auto* r = [] {
-    auto* reg =
-        new NamedRegistry<std::function<MachineSpec()>>("machine preset");
-    reg->add("skylake", skylake_preset);
-    reg->add("embedded", embedded_preset);
-    return reg;
-  }();
-  return *r;
-}
+/// Every preset, sorted by name. "skylake" is MachineSpec's defaults:
+/// the 6-wide SkyLake-like core of Tables I and II.
+constexpr struct {
+  const char* name;
+  MachineSpec (*make)();
+} kPresets[] = {
+    {"embedded", embedded_preset},
+    {"skylake", [] { return MachineSpec{}; }},
+};
 
 void validate_cache(const memory::CacheConfig& c) {
   if (c.size_bytes == 0 || c.ways <= 0 || c.line_bytes <= 0) {
@@ -449,11 +412,7 @@ void MachineSpec::validate() const {
   validate_tlb(c.itlb);
   validate_tlb(c.dtlb);
 
-  if (!policy::is_registered_policy(c.policy)) {
-    // Re-throwing through named_policy produces the message that lists
-    // every registered policy.
-    policy::named_policy(c.policy);
-  }
+  policy::named_policy(c.policy);  // throws with the registered list
 
   const struct {
     const shadow::ShadowConfig* config;
@@ -636,14 +595,24 @@ void MachineSpec::set(const std::string& key, const std::string& value) {
   throw std::invalid_argument(unknown_key_message(key, table));
 }
 
-// ---- preset registry -------------------------------------------------------
+// ---- presets ---------------------------------------------------------------
 
 MachineSpec machine_preset(const std::string& name) {
-  return preset_registry().at(name)();
+  for (const auto& preset : kPresets) {
+    if (name == preset.name) return preset.make();
+  }
+  std::string known;
+  for (const auto& preset : kPresets) {
+    known += (known.empty() ? "" : ", ") + std::string(preset.name);
+  }
+  throw std::out_of_range("unknown machine preset \"" + name +
+                          "\" (registered: " + known + ")");
 }
 
 std::vector<std::string> machine_preset_names() {
-  return preset_registry().names();
+  std::vector<std::string> names;
+  for (const auto& preset : kPresets) names.emplace_back(preset.name);
+  return names;
 }
 
 // ---- builder ----------------------------------------------------------------
@@ -683,7 +652,7 @@ std::unique_ptr<Simulator> MachineBuilder::build(isa::Program program) const {
   auto sim = std::make_unique<Simulator>(spec_.core, std::move(program));
   // Every core runs the same program over the same initial image: set
   // up core 0's once, then copy it to the other cores.
-  if (spec_.map_text) sim->map_text_on(0);
+  sim->map_text_on(0);
   memory::map_image(spec_.regions, spec_.pokes, sim->memory(0),
                     sim->page_table(0));
   for (int c = 1; c < sim->num_cores(); ++c) {

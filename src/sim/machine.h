@@ -8,8 +8,9 @@
 // with --set key=value — instead of a hand-written construction site.
 //
 // Three pieces:
-//   * the preset registry: named starting points ("skylake" — Tables
-//     I/II; "embedded" — a 2-wide in-order-ish little core);
+//   * the presets: named starting points ("skylake" — Tables I/II,
+//     which are MachineSpec's defaults; "embedded" — a 2-wide
+//     in-order-ish little core);
 //   * MachineSpec::validate(): rejects nonsense (zero widths,
 //     overlapping regions, unknown policy names) and — §V's security
 //     argument — shadow sizing below the secure bound (d-side ≥ LDQ,
@@ -41,7 +42,6 @@ struct MachineSpec {
   /// open the TSA channel; validate() rejects such sizing unless this is
   /// set explicitly (sizing studies and attack PoCs set it).
   bool allow_undersized_shadows = false;
-  bool map_text = true;  ///< map the program's code pages at build time
   /// Trace workload axis: empty runs the synthetic generator; "@"
   /// round-trips each cell's synthetic image through the trace codec in
   /// memory; any other value is a trace file path. The experiment
@@ -60,7 +60,7 @@ struct MachineSpec {
   /// overlapping or wrapping memory-map regions, or shadow sizing below
   /// the secure bound without allow_undersized_shadows. An unknown
   /// policy name throws std::out_of_range listing the registered
-  /// policies (the registries' lookup error).
+  /// policies (policy::named_policy's error).
   void validate() const;
 
   /// Pretty-printed JSON document (stable key order — round-trips).
@@ -84,10 +84,10 @@ struct MachineSpec {
   void set(const std::string& key, const std::string& value);
 };
 
-// ---- preset registry --------------------------------------------------------
+// ---- presets ----------------------------------------------------------------
 
-/// Looks up a registered preset. Throws std::out_of_range with a message
-/// listing every registered name when `name` is unknown.
+/// Looks up a preset by name. Throws std::out_of_range with a message
+/// listing every preset name when `name` is unknown.
 MachineSpec machine_preset(const std::string& name);
 std::vector<std::string> machine_preset_names();
 
@@ -107,7 +107,7 @@ class MachineBuilder {
   explicit MachineBuilder(MachineSpec spec);
   static MachineBuilder from_preset(const std::string& name);
 
-  /// Selects the protection policy by registry name.
+  /// Selects the protection policy by name.
   MachineBuilder& policy(const std::string& name);
   MachineBuilder& map_region(Addr base, std::uint64_t bytes,
                              memory::PagePerm perm = memory::PagePerm::kUser);
@@ -119,8 +119,8 @@ class MachineBuilder {
   const MachineSpec& spec() const { return spec_; }
 
   /// Validates the spec and yields a ready-to-run simulator: program
-  /// text mapped (unless map_text=false), regions mapped, pokes applied
-  /// — once, into core 0's image, which the other cores share copy-on-write.
+  /// text mapped, regions mapped, pokes applied — once, into core 0's
+  /// image, which the other cores share copy-on-write.
   /// Propagates MachineSpec::validate()'s exceptions
   /// (std::invalid_argument, or std::out_of_range for unknown names).
   std::unique_ptr<Simulator> build(isa::Program program) const;

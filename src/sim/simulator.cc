@@ -47,11 +47,8 @@ void Simulator::build_cores(const cpu::CoreConfig& config,
                             std::vector<isa::Program> programs) {
   // The shared L2/L3 get the same policy tuning (SHARP cache protection,
   // detector thresholds) the cores apply to their private levels.
-  memory::HierarchyConfig shared_config = config.hierarchy;
-  policy::named_policy(config.policy)
-      .tune(shared_config, config.sharp_alarm_threshold,
-            config.sharp_alarm_epoch);
-  shared_levels_ = std::make_unique<memory::SharedLevels>(shared_config);
+  shared_levels_ = std::make_unique<memory::SharedLevels>(
+      cpu::tuned_config(config).hierarchy);
   ctx_.reserve(programs.size());
   for (std::size_t c = 0; c < programs.size(); ++c) {
     auto ctx = std::make_unique<CoreContext>(std::move(programs[c]));

@@ -338,8 +338,8 @@ TEST(Triage, ShardSplitReproducesTheSameReport) {
   const TriageReport report2 = triage(two, dir2);
   EXPECT_EQ(report1.units, 8u);
   EXPECT_GT(report1.failures, 0u);
-  EXPECT_EQ(render_triage_text(report1, &one),
-            render_triage_text(report2, &two));
+  EXPECT_EQ(render_triage_text(report1, one),
+            render_triage_text(report2, two));
   EXPECT_EQ(render_triage_json(report1), render_triage_json(report2));
 
   // The merged artifacts agree byte for byte as well, and triaging the
@@ -357,7 +357,7 @@ TEST(Triage, ShardSplitReproducesTheSameReport) {
     EXPECT_EQ(group.first_seed, group.seeds.front());
     EXPECT_TRUE(std::is_sorted(group.seeds.begin(), group.seeds.end()));
   }
-  EXPECT_NE(render_triage_text(report1, &one).find("repro:"),
+  EXPECT_NE(render_triage_text(report1, one).find("repro:"),
             std::string::npos);
 }
 
@@ -369,7 +369,7 @@ TEST(Triage, ReproLineKeepsTheCampaignAxes) {
   RunOptions options;
   options.threads = 2;
   run_shard(m, dir, 0, options);
-  EXPECT_NE(render_triage_text(triage(m, dir), &m)
+  EXPECT_NE(render_triage_text(triage(m, dir), m)
                 .find("  repro:       fuzz_driver --seed=1 --count=1 --dump "
                       "--cores=2 --policies=baseline --presets=skylake "
                       "--mutate=commit-xor\n"),
@@ -399,7 +399,7 @@ TEST(Triage, OneSeedReportListsEveryViolation) {
   const UnitResult result = UnitRunner(m).run(0);
   EXPECT_TRUE(result.failed);
   const std::string text =
-      render_triage_text(triage_records({{0, result.line}}), &m);
+      render_triage_text(triage_records({{0, result.line}}), m);
 
   fuzz::DifferentialConfig config;
   config.policies = m.fuzz.policies;

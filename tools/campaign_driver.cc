@@ -3,7 +3,8 @@
 //   campaign_driver run    --manifest=M.json --dir=DIR [--shard=K]
 //   campaign_driver status --manifest=M.json --dir=DIR
 //   campaign_driver merge  --manifest=M.json --dir=DIR [--out=FILE]
-//   campaign_driver triage --manifest=M.json --dir=DIR [--json=FILE]
+//   campaign_driver triage --manifest=M.json (--dir=DIR | --merged=FILE)
+//                          [--json=FILE]
 //   campaign_driver report --perf-dir=DIR [--html=FILE] [--json=FILE]
 //
 // `run` executes (or resumes) a campaign's work units, streaming each
@@ -47,7 +48,7 @@ void usage(const char* prog, std::FILE* out) {
       "  merge  --manifest=FILE --dir=DIR [--out=FILE]\n"
       "         combine all shard journals into one unit-sorted artifact\n"
       "         (default DIR/NAME.merged.jsonl); requires every unit done\n"
-      "  triage --manifest=FILE --dir=DIR [--merged=FILE] [--json=FILE]\n"
+      "  triage --manifest=FILE (--dir=DIR | --merged=FILE) [--json=FILE]\n"
       "         group a fuzz campaign's failing seeds by normalized\n"
       "         failure fingerprint; prints one repro per group; exit 1\n"
       "         when any seed failed\n"
@@ -81,12 +82,15 @@ struct Options {
   std::string perf_dir;
 };
 
-campaign::Manifest load_manifest(const Options& options) {
+/// The validated manifest; exits 2 without --manifest, or without --dir
+/// when `need_dir`.
+campaign::Manifest load_manifest(const Options& options,
+                                 bool need_dir = true) {
   if (options.manifest_path.empty()) {
     std::fprintf(stderr, "need --manifest=FILE\n");
     std::exit(2);
   }
-  if (options.dir.empty()) {
+  if (need_dir && options.dir.empty()) {
     std::fprintf(stderr, "need --dir=DIR\n");
     std::exit(2);
   }
@@ -178,21 +182,14 @@ int cmd_merge(const Options& options) {
 }
 
 int cmd_triage(const Options& options) {
-  campaign::TriageReport report;
-  const campaign::Manifest* manifest_ptr = nullptr;
-  campaign::Manifest manifest;
-  if (!options.merged_path.empty()) {
-    report = campaign::triage_merged_file(options.merged_path);
-    if (!options.manifest_path.empty()) {
-      manifest = campaign::Manifest::from_json_file(options.manifest_path);
-      manifest_ptr = &manifest;
-    }
-  } else {
-    manifest = load_manifest(options);
-    manifest_ptr = &manifest;
-    report = campaign::triage(manifest, options.dir);
-  }
-  std::fputs(campaign::render_triage_text(report, manifest_ptr).c_str(),
+  // A merged artifact replaces the journals as the source of units; the
+  // manifest still names the axes every repro line must carry.
+  const bool merged = !options.merged_path.empty();
+  const campaign::Manifest manifest = load_manifest(options, !merged);
+  const campaign::TriageReport report =
+      merged ? campaign::triage_merged_file(options.merged_path)
+             : campaign::triage(manifest, options.dir);
+  std::fputs(campaign::render_triage_text(report, manifest).c_str(),
              stdout);
   if (!options.json_path.empty()) {
     if (!write_text_file(options.json_path,

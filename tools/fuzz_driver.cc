@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
           records[unit] = {unit, runner.run(unit).line};
         });
     const campaign::TriageReport report = campaign::triage_records(records);
-    std::fputs(campaign::render_triage_text(report, &manifest).c_str(),
+    std::fputs(campaign::render_triage_text(report, manifest).c_str(),
                stdout);
     return report.failures > 0 ? 1 : 0;
   } catch (const std::exception& e) {

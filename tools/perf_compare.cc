@@ -20,7 +20,6 @@
 // downgrades a failure to a warning. Exit 2 on malformed input.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,37 +53,31 @@ void usage(const char* prog, std::FILE* out) {
                prog);
 }
 
+/// --max-drop's value: a fraction in (0, 1), or exit 2.
+double parse_max_drop(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(value > 0.0 && value < 1.0)) {
+    std::fprintf(stderr, "--max-drop must be in (0, 1), got \"%s\"\n", text);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> positional;
   double max_drop = 0.10;
   std::string summary_path;
   bool waived = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      usage(argv[0], stdout);
-      return 0;
-    } else if (std::strncmp(arg, "--max-drop=", 11) == 0) {
-      max_drop = std::atof(arg + 11);
-      if (!(max_drop > 0.0 && max_drop < 1.0)) {
-        std::fprintf(stderr, "--max-drop must be in (0, 1)\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--summary=", 10) == 0) {
-      summary_path = arg + 10;
-    } else if (std::strcmp(arg, "--waived") == 0) {
-      waived = true;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "unknown argument: %s\n", arg);
-      usage(argv[0], stderr);
-      return 2;
-    } else {
-      positional.emplace_back(arg);
-    }
-  }
+  const std::vector<std::string> positional =
+      safespec::cli::FlagSet(usage)
+          .value("--max-drop",
+                 [&max_drop](const char* v) { max_drop = parse_max_drop(v); })
+          .string("--summary", &summary_path)
+          .set_true("--waived", &waived)
+          .allow_positional()
+          .parse(argc, argv);
   if (positional.size() != 2) {
     usage(argv[0], stderr);
     return 2;
