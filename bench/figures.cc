@@ -224,8 +224,7 @@ std::vector<ResultTable> overhead_tables(const experiment::SweepResult& sweep) {
   for (const auto& [name, cache] : levels) {
     model::SramParams params;
     params.name = name;
-    params.entries =
-        cache->size_bytes / static_cast<std::uint64_t>(cache->line_bytes);
+    params.entries = cache->size_bytes / kLineSize;
     params.bits_per_entry = 6;  // owner ids for MachineSpec's 64 cores
     params.tag_bits = 0;
     const auto est = model::estimate(params);

@@ -20,7 +20,6 @@ void BM_CacheAccess(benchmark::State& state) {
   memory::Cache cache({.name = "L1D",
                        .size_bytes = 32 * 1024,
                        .ways = 8,
-                       .line_bytes = 64,
                        .hit_latency = 4});
   Rng rng(42);
   for (auto _ : state) {
@@ -33,7 +32,6 @@ void BM_CacheFillEvict(benchmark::State& state) {
   memory::Cache cache({.name = "L1D",
                        .size_bytes = 32 * 1024,
                        .ways = 8,
-                       .line_bytes = 64,
                        .hit_latency = 4});
   Addr line = 0;
   for (auto _ : state) {

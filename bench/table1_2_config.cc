@@ -26,19 +26,19 @@ std::string describe_config(const cpu::CoreConfig& c) {
       << "Memory system (Table II)\n"
       << "  L1I-Cache           " << c.hierarchy.l1i.size_bytes / 1024
       << " KB, " << c.hierarchy.l1i.ways << "-way, "
-      << c.hierarchy.l1i.line_bytes << "B line, "
+      << kLineSize << "B line, "
       << c.hierarchy.l1i.hit_latency << " cycle hit\n"
       << "  L1D-Cache           " << c.hierarchy.l1d.size_bytes / 1024
       << " KB, " << c.hierarchy.l1d.ways << "-way, "
-      << c.hierarchy.l1d.line_bytes << "B line, "
+      << kLineSize << "B line, "
       << c.hierarchy.l1d.hit_latency << " cycle hit\n"
       << "  L2 Shared Cache     " << c.hierarchy.l2.size_bytes / 1024
       << " KB, " << c.hierarchy.l2.ways << "-way, "
-      << c.hierarchy.l2.line_bytes << "B line, "
+      << kLineSize << "B line, "
       << c.hierarchy.l2.hit_latency << " cycle hit\n"
       << "  L3 Shared Cache     " << c.hierarchy.l3.size_bytes / (1024 * 1024)
       << " MB, " << c.hierarchy.l3.ways << "-way, "
-      << c.hierarchy.l3.line_bytes << "B line, "
+      << kLineSize << "B line, "
       << c.hierarchy.l3.hit_latency << " cycle hit\n"
       << "  Memory              " << c.hierarchy.memory_latency
       << " cycles\n"

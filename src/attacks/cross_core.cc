@@ -148,7 +148,7 @@ AttackOutcome run_cross_core_evict(const std::string& policy, int secret) {
   const auto config = bimodal_attack_machine(policy);
   const auto& l3 = config.hierarchy.l3;
   const std::int64_t set_stride =
-      static_cast<std::int64_t>(l3.num_sets()) * l3.line_bytes;
+      static_cast<std::int64_t>(l3.num_sets() * kLineSize);
   const int conflicts = l3.ways + 8;  // overfill the set with margin
   constexpr Addr kEvictBase = 0x8000000;  // clear of every Layout region
   static_assert(kEvictBase % (2048 * 64) == 0,
@@ -184,7 +184,7 @@ AttackOutcome run_cross_core_evict(const std::string& policy, int secret) {
   for (int k = 0; k < conflicts; ++k) {
     sim.map_region(kEvictBase + static_cast<Addr>(k) *
                                     static_cast<Addr>(set_stride),
-                   static_cast<std::uint64_t>(l3.line_bytes));
+                   kLineSize);
   }
   plant_secret(sim, secret);
 
@@ -204,7 +204,8 @@ AttackOutcome run_cross_core_prime_detect(const std::string& policy) {
   config.sharp_alarm_threshold = 50;
 
   const std::int64_t sweep_bytes = 64 * 1024;  // one full L3 of lines
-  const std::int64_t lines = sweep_bytes / config.hierarchy.l3.line_bytes;
+  const std::int64_t lines =
+      sweep_bytes / static_cast<std::int64_t>(kLineSize);
   constexpr Addr kVictimSweep = 0x9000000;
   constexpr Addr kSpySweep = 0x8000000;
 

@@ -528,14 +528,29 @@ std::vector<UnitRecord> collect_units(const Manifest& manifest,
   return out;
 }
 
+std::string merged_header(const Manifest& manifest) {
+  Manifest work = manifest;
+  work.shards = 1;  // how the work was split is not part of it
+  return json::JsonlObject()
+      .text("campaign", manifest.name)
+      .u64("version", manifest.version)
+      .text("kind", manifest.kind)
+      .u64("units", manifest.num_units())
+      .text("work_fingerprint", work.fingerprint())
+      .str();
+}
+
 MergeStats merge(const Manifest& manifest, const std::string& dir,
                  const std::string& out_path) {
   const std::vector<UnitRecord> records =
       collect_units(manifest, dir, /*require_complete=*/true);
-  // Unit-sorted verbatim lines, no header: the bytes depend only on the
-  // manifest, never on sharding or interruption history.
+  // The work's header, then unit-sorted verbatim lines: the bytes depend
+  // only on the manifest's work, never on sharding or interruption
+  // history.
   const std::string tmp = out_path + ".tmp";
-  const auto write = [&records](std::FILE* out) {
+  const std::string header = merged_header(manifest);
+  const auto write = [&records, &header](std::FILE* out) {
+    std::fprintf(out, "%s\n", header.c_str());
     for (const UnitRecord& rec : records) {
       std::fprintf(out, "%s\n", rec.line.c_str());
     }

@@ -14,9 +14,10 @@
 // unit set an uninterrupted run produces.
 //
 // Unit lines carry only *simulated* data (no wall times, no hostnames),
-// and merge() writes them header-less, sorted by unit id, deduplicated.
-// Both byte-identity guarantees follow: a killed-and-resumed campaign
-// merges identical to an uninterrupted one, and an S-shard split merges
+// and merge() writes them sorted by unit id, deduplicated, under one
+// header line naming the campaign's work but not its shard count. Both
+// byte-identity guarantees follow: a killed-and-resumed campaign merges
+// identical to an uninterrupted one, and an S-shard split merges
 // identical to a 1-shard run — pinned by tests/campaign_test.cc and the
 // SIGKILL ctest script.
 #pragma once
@@ -195,9 +196,15 @@ std::vector<UnitRecord> collect_units(const Manifest& manifest,
                                       const std::string& dir,
                                       bool require_complete);
 
-/// Writes the merged artifact: every unit line, sorted by unit id, no
-/// header — byte-identical however the campaign was sharded, killed or
-/// resumed. Atomic (tmp + rename). Throws if any unit is missing.
+/// The merged artifact's first line: the campaign's name, version, kind,
+/// unit count and work fingerprint — the fingerprint of the manifest
+/// with shards = 1, so the split does not change it.
+std::string merged_header(const Manifest& manifest);
+
+/// Writes the merged artifact: merged_header(), then every unit line,
+/// sorted by unit id — byte-identical however the campaign was sharded,
+/// killed or resumed. Atomic (tmp + rename). Throws if any unit is
+/// missing.
 MergeStats merge(const Manifest& manifest, const std::string& dir,
                  const std::string& out_path);
 

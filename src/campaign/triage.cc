@@ -102,10 +102,19 @@ TriageReport triage(const Manifest& manifest, const std::string& dir) {
       collect_units(manifest, dir, /*require_complete=*/false));
 }
 
-TriageReport triage_merged_file(const std::string& merged_path) {
+TriageReport triage_merged_file(const Manifest& manifest,
+                                const std::string& merged_path) {
   const std::string data = json::read_file(merged_path, "merged campaign");
+  const std::string expected = merged_header(manifest);
+  std::size_t pos = std::min(data.find('\n'), data.size());
+  if (data.compare(0, pos, expected) != 0) {
+    throw std::runtime_error(
+        merged_path + ": not a merged artifact of campaign \"" +
+        manifest.name + "\" (first line: " + data.substr(0, pos) +
+        "; expected: " + expected + ")");
+  }
+  ++pos;
   std::vector<UnitRecord> records;
-  std::size_t pos = 0;
   std::uint64_t index = 0;
   while (pos < data.size()) {
     std::size_t nl = data.find('\n', pos);

@@ -50,8 +50,11 @@ TriageReport triage_records(const std::vector<UnitRecord>& records);
 /// incomplete campaign (triages what is there; `units` says how much).
 TriageReport triage(const Manifest& manifest, const std::string& dir);
 
-/// Triage a merged artifact written by merge().
-TriageReport triage_merged_file(const std::string& merged_path);
+/// Triage a merged artifact written by merge() for `manifest`. Throws
+/// std::runtime_error when the file's header is missing or names other
+/// work, since the repro lines would then carry the wrong axes.
+TriageReport triage_merged_file(const Manifest& manifest,
+                                const std::string& merged_path);
 
 /// The command line that reruns `seed` alone and disassembles it:
 /// `fuzz_driver --seed=N --count=1 --dump`, then each of --spec, --cores,

@@ -730,7 +730,7 @@ Core::Lookup Core::lookup_line(Side side, Addr paddr, int& ref) {
   if (id == shadow::ShadowCache::kNone) {
     got.source = Source::kBelow;
     got.latency = hierarchy_.shared()
-                      .access_below_l1(line, /*touch=*/false, /*fill=*/false,
+                      .access_below_l1(line, /*fill=*/false,
                                        /*count_stats=*/true, core_id_)
                       .latency;
     id = table.insert(line, {});

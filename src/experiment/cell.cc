@@ -89,9 +89,6 @@ ResolvedCell resolve(const Cell& cell, sim::MachineSpec base) {
   for (const std::string& kv : cell.overrides) machine.set(kv);
   machine.set("policy", cell.policy);
   if (cell.cores > 0) machine.core.cores = cell.cores;
-  // The trace axis rides on the profile: its name stays the row label,
-  // and "@" round-trips the cell's own synthetic image through the codec.
-  if (!machine.trace.empty()) r.profile.trace_file = machine.trace;
   if (cell.mode == "sampled-fast") {
     machine.sampling.fast_forward_interval =
         std::max<std::uint64_t>(cell.instrs / 2, 1);

@@ -30,9 +30,8 @@ constexpr Cycle cycle_budget(std::uint64_t instrs) {
 /// from the profile), so its result never depends on which thread runs
 /// it.
 struct Cell {
-  /// Any workloads::profile_by_name spelling, trace forms included:
-  /// trace:@NAME (profile NAME through the trace codec in memory) and
-  /// trace:PATH (a trace file).
+  /// Any workloads::profile_by_name spelling, trace:@NAME (profile NAME
+  /// through the trace codec in memory) included.
   std::string workload;
   std::string policy = "baseline";  ///< protection-policy name
   std::string preset = "skylake";   ///< machine-preset name
@@ -70,12 +69,11 @@ struct ResolvedCell {
 };
 
 /// The one resolver: `base`, then the cell's overrides, then its policy
-/// and cores, then the machine's trace axis onto the profile, then the
-/// mode's sampling schedule. Throws std::out_of_range on an unknown
-/// workload, policy or preset name, and std::invalid_argument on a bad
-/// override, an unknown mode, or more than one core outside detailed
-/// mode. The machine is not validated; MachineBuilder does that when the
-/// cell runs.
+/// and cores, then the mode's sampling schedule. Throws std::out_of_range
+/// on an unknown workload, policy or preset name, and
+/// std::invalid_argument on a bad override, an unknown mode, or more
+/// than one core outside detailed mode. The machine is not validated;
+/// MachineBuilder does that when the cell runs.
 ResolvedCell resolve(const Cell& cell, sim::MachineSpec base);
 /// resolve() on the cell's own preset.
 ResolvedCell resolve(const Cell& cell);

@@ -6,11 +6,11 @@ namespace safespec::memory {
 
 namespace {
 int checked_sets(const CacheConfig& config) {
-  if (config.ways <= 0 || config.line_bytes <= 0 || config.num_sets() <= 0) {
+  if (config.ways <= 0 || config.num_sets() <= 0) {
     throw std::invalid_argument("Cache: size/ways/line geometry invalid");
   }
-  if (config.size_bytes % (static_cast<std::uint64_t>(config.ways) *
-                           config.line_bytes) !=
+  if (config.size_bytes %
+          (static_cast<std::uint64_t>(config.ways) * kLineSize) !=
       0) {
     throw std::invalid_argument("Cache: size not divisible by way size");
   }

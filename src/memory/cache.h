@@ -21,7 +21,6 @@ struct CacheConfig {
   std::string name = "cache";
   std::uint64_t size_bytes = 32 * 1024;
   int ways = 8;
-  int line_bytes = 64;
   Cycle hit_latency = 4;
   std::uint64_t seed = 1;  ///< for SHARP's forced victim draws
 
@@ -35,9 +34,10 @@ struct CacheConfig {
   /// access — an access-count proxy for the exemplar's cycle epoch).
   std::uint64_t alarm_epoch_ticks = 1'000'000'000;
 
+  /// Every level indexes 64-byte lines (line_of, kLineSize).
   int num_sets() const {
-    return static_cast<int>(size_bytes / (static_cast<std::uint64_t>(ways) *
-                                          line_bytes));
+    return static_cast<int>(size_bytes /
+                            (static_cast<std::uint64_t>(ways) * kLineSize));
   }
 };
 

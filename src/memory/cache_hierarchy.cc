@@ -22,12 +22,12 @@ void SharedLevels::back_invalidate_l1s(Addr line) {
   }
 }
 
-AccessOutcome SharedLevels::access_below_l1(Addr line, bool touch, bool fill,
+AccessOutcome SharedLevels::access_below_l1(Addr line, bool fill,
                                             bool count_stats, int owner) {
-  if (l2_.access(line, touch, count_stats)) {
+  if (l2_.access(line, fill, count_stats)) {
     return {l2_.config().hit_latency, HitLevel::kL2};
   }
-  if (l3_.access(line, touch, count_stats)) {
+  if (l3_.access(line, fill, count_stats)) {
     // Historical L3-hit path: the L2 fill's eviction is not
     // back-invalidated (the line stays in whatever L1s hold it).
     if (fill) l2_.fill(line, owner);
@@ -74,15 +74,15 @@ AccessOutcome CacheHierarchy::timed_access(Addr paddr, Side side, Fill fill,
   const Addr line = line_of(paddr);
   Cache& l1 = l1_for(side);
   // Fill::kNo is the speculative path: leakage-freedom forbids even
-  // replacement-recency updates (§IV-A).
-  const bool touch = fill == Fill::kYes;
+  // replacement-recency updates, at every level (§IV-A).
+  const bool filling = fill == Fill::kYes;
 
-  if (l1.access(line, touch, count_stats)) {
+  if (l1.access(line, filling, count_stats)) {
     return {l1.config().hit_latency, HitLevel::kL1};
   }
-  const AccessOutcome below = shared_->access_below_l1(
-      line, touch, fill == Fill::kYes, count_stats, owner_);
-  if (fill == Fill::kYes) l1.fill(line, owner_);
+  const AccessOutcome below =
+      shared_->access_below_l1(line, filling, count_stats, owner_);
+  if (filling) l1.fill(line, owner_);
   return below;
 }
 

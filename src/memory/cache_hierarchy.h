@@ -4,10 +4,11 @@
 //   * timed_access(..., Fill::kYes)  — classic behaviour: a miss allocates
 //     into every level on the way in (inclusive). This is the *baseline*
 //     (insecure) datapath, and also the commit-time promotion path.
-//   * timed_access(..., Fill::kNo)   — lookup + latency only, no state
-//     change below the hit level. SafeSpec uses this for speculative
-//     accesses: the line's residence is provided by the shadow structure
-//     instead, so the primary hierarchy stays untouched (§III, §IV-A).
+//   * timed_access(..., Fill::kNo)   — lookup + latency only: no fill and
+//     no replacement-recency update at any level, the hit level included.
+//     SafeSpec uses this for speculative accesses: the line's residence
+//     is provided by the shadow structure instead, so the primary
+//     hierarchy stays untouched (§III, §IV-A).
 //
 // Multi-core split: the L1s are per-core (one CacheHierarchy per core),
 // while L2/L3 live in a SharedLevels object that several hierarchies can
@@ -34,13 +35,13 @@ enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kMemory };
 /// "skylake" preset is the config structs' defaults).
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I", .size_bytes = 32 * 1024, .ways = 8,
-                  .line_bytes = 64, .hit_latency = 4};
+                  .hit_latency = 4};
   CacheConfig l1d{.name = "L1D", .size_bytes = 32 * 1024, .ways = 8,
-                  .line_bytes = 64, .hit_latency = 4};
+                  .hit_latency = 4};
   CacheConfig l2{.name = "L2", .size_bytes = 256 * 1024, .ways = 4,
-                 .line_bytes = 64, .hit_latency = 12};
+                 .hit_latency = 12};
   CacheConfig l3{.name = "L3", .size_bytes = 2 * 1024 * 1024, .ways = 16,
-                 .line_bytes = 64, .hit_latency = 44};
+                 .hit_latency = 44};
   Cycle memory_latency = 191;
 };
 
@@ -65,10 +66,12 @@ class SharedLevels {
   SharedLevels(const SharedLevels&) = delete;
   SharedLevels& operator=(const SharedLevels&) = delete;
 
-  /// The below-L1 part of a timed lookup: L2, then L3, then memory, with
-  /// the historical inclusive fill behaviour on each path. The caller
-  /// (CacheHierarchy::timed_access) fills its own L1 afterwards. `owner`
-  /// is the requesting core id.
+  /// The below-L1 part of a timed lookup: L2, then L3, then memory. With
+  /// `fill`, the hit level's replacement recency is refreshed and the
+  /// historical inclusive fill runs on each path; the caller
+  /// (CacheHierarchy::timed_access) fills its own L1 afterwards. Without
+  /// it, the shared levels are left exactly as found. `owner` is the
+  /// requesting core id.
   ///
   /// Known inclusion quirk (deliberately preserved): on the *L3-hit*
   /// path the promotion fill into L2 discards its eviction — the line
@@ -80,8 +83,8 @@ class SharedLevels {
   /// Every golden cycle count and attack trace pins this behaviour —
   /// see memory_test's L3-hit-path inclusion test and ROADMAP item 4(a),
   /// which plans the fix, before changing it.
-  AccessOutcome access_below_l1(Addr line, bool touch, bool fill,
-                                bool count_stats, int owner);
+  AccessOutcome access_below_l1(Addr line, bool fill, bool count_stats,
+                                int owner);
 
   /// Inclusive fill of L3 then L2 (the from-memory / promotion path).
   /// Evictions back-invalidate the L1s of every attached core.
@@ -148,9 +151,9 @@ class CacheHierarchy {
   /// Performs a timed lookup of the line containing byte address `paddr`
   /// on `side`. With Fill::kYes, misses allocate into all levels from the
   /// hit level up (inclusive fill). With Fill::kNo the hierarchy is left
-  /// exactly as found apart from replacement-recency updates at the hit
-  /// level. `count_stats=false` keeps the lookup out of hit/miss
-  /// statistics (page-walker traffic).
+  /// exactly as found: no fill, and no replacement-recency update at any
+  /// level, the hit level included (§IV-A). `count_stats=false` keeps the
+  /// lookup out of hit/miss statistics (page-walker traffic).
   AccessOutcome timed_access(Addr paddr, Side side, Fill fill,
                              bool count_stats = true);
 

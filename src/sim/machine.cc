@@ -70,7 +70,6 @@ std::vector<Field> fields(MachineSpec& spec) {
       {"policy", "policy", PolicyName{&c.policy}},
       {"allow_undersized_shadows", "allow_undersized_shadows",
        &spec.allow_undersized_shadows},
-      {"trace", "trace", &spec.trace},
       {"cores", "cores", &c.cores},
       {"fetch_width", "core.fetch_width", &c.fetch_width},
       {"issue_width", "core.issue_width", &c.issue_width},
@@ -92,19 +91,15 @@ std::vector<Field> fields(MachineSpec& spec) {
       {"sharp_alarm_epoch", "core.sharp_alarm_epoch", &c.sharp_alarm_epoch},
       {"l1i.size_bytes", "caches.l1i.size_bytes", &h.l1i.size_bytes},
       {"l1i.ways", "caches.l1i.ways", &h.l1i.ways},
-      {"l1i.line_bytes", "caches.l1i.line_bytes", &h.l1i.line_bytes},
       {"l1i.hit_latency", "caches.l1i.hit_latency", &h.l1i.hit_latency},
       {"l1d.size_bytes", "caches.l1d.size_bytes", &h.l1d.size_bytes},
       {"l1d.ways", "caches.l1d.ways", &h.l1d.ways},
-      {"l1d.line_bytes", "caches.l1d.line_bytes", &h.l1d.line_bytes},
       {"l1d.hit_latency", "caches.l1d.hit_latency", &h.l1d.hit_latency},
       {"l2.size_bytes", "caches.l2.size_bytes", &h.l2.size_bytes},
       {"l2.ways", "caches.l2.ways", &h.l2.ways},
-      {"l2.line_bytes", "caches.l2.line_bytes", &h.l2.line_bytes},
       {"l2.hit_latency", "caches.l2.hit_latency", &h.l2.hit_latency},
       {"l3.size_bytes", "caches.l3.size_bytes", &h.l3.size_bytes},
       {"l3.ways", "caches.l3.ways", &h.l3.ways},
-      {"l3.line_bytes", "caches.l3.line_bytes", &h.l3.line_bytes},
       {"l3.hit_latency", "caches.l3.hit_latency", &h.l3.hit_latency},
       {"memory_latency", "caches.memory_latency", &h.memory_latency},
       {"itlb.entries", "tlbs.itlb.entries", &c.itlb.entries},
@@ -311,14 +306,14 @@ MachineSpec embedded_preset() {
   c.commit_delay = 2;
   c.itlb = {.name = "iTLB", .entries = 16, .ways = 4};
   c.dtlb = {.name = "dTLB", .entries = 16, .ways = 4};
-  c.hierarchy.l1i = {.name = "L1I", .size_bytes = 8 * 1024, .ways = 2,
-                     .line_bytes = 32, .hit_latency = 2};
-  c.hierarchy.l1d = {.name = "L1D", .size_bytes = 8 * 1024, .ways = 2,
-                     .line_bytes = 32, .hit_latency = 2};
-  c.hierarchy.l2 = {.name = "L2", .size_bytes = 64 * 1024, .ways = 4,
-                    .line_bytes = 32, .hit_latency = 8};
-  c.hierarchy.l3 = {.name = "L3", .size_bytes = 512 * 1024, .ways = 8,
-                    .line_bytes = 32, .hit_latency = 24};
+  c.hierarchy.l1i = {.name = "L1I", .size_bytes = 16 * 1024, .ways = 2,
+                     .hit_latency = 2};
+  c.hierarchy.l1d = {.name = "L1D", .size_bytes = 16 * 1024, .ways = 2,
+                     .hit_latency = 2};
+  c.hierarchy.l2 = {.name = "L2", .size_bytes = 128 * 1024, .ways = 4,
+                    .hit_latency = 8};
+  c.hierarchy.l3 = {.name = "L3", .size_bytes = 1024 * 1024, .ways = 8,
+                    .hit_latency = 24};
   c.hierarchy.memory_latency = 100;
   c.predictor.direction = {.kind = predictor::DirectionKind::kBimodal,
                            .table_bits = 10};
@@ -342,16 +337,14 @@ constexpr struct {
 };
 
 void validate_cache(const memory::CacheConfig& c) {
-  if (c.size_bytes == 0 || c.ways <= 0 || c.line_bytes <= 0) {
-    throw std::invalid_argument(c.name + ": size, ways and line_bytes must "
-                                         "be positive");
+  if (c.size_bytes == 0 || c.ways <= 0) {
+    throw std::invalid_argument(c.name + ": size and ways must be positive");
   }
   if (c.num_sets() <= 0 ||
-      c.size_bytes % (static_cast<std::uint64_t>(c.ways) *
-                      static_cast<std::uint64_t>(c.line_bytes)) != 0) {
+      c.size_bytes % (static_cast<std::uint64_t>(c.ways) * kLineSize) != 0) {
     throw std::invalid_argument(
         c.name + ": size_bytes must be a positive multiple of "
-                 "ways * line_bytes");
+                 "ways * 64-byte lines");
   }
 }
 

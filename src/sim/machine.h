@@ -42,12 +42,6 @@ struct MachineSpec {
   /// open the TSA channel; validate() rejects such sizing unless this is
   /// set explicitly (sizing studies and attack PoCs set it).
   bool allow_undersized_shadows = false;
-  /// Trace workload axis: empty runs the synthetic generator; "@"
-  /// round-trips each cell's synthetic image through the trace codec in
-  /// memory; any other value is a trace file path. The experiment
-  /// engine copies this onto every cell's WorkloadProfile::trace_file
-  /// (see src/trace/). Set grammar: --set trace=PATH.
-  std::string trace;
   /// Sampled-simulation schedule (disabled by default). The experiment
   /// engine's run_cell passes it to Simulator::run_sampled. See
   /// sim::SamplingSpec.

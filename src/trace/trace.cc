@@ -1,7 +1,11 @@
 #include "trace/trace.h"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+
+#include "common/hash.h"
 
 namespace safespec::trace {
 
@@ -45,6 +49,12 @@ void serialize_record(std::vector<std::uint8_t>& out, const TraceRecord& r) {
   out.push_back(0);  // reserved
   put_u64(out, static_cast<std::uint64_t>(r.imm));
   put_u64(out, r.target);
+}
+
+/// The payload checksum: FNV-1a over everything after the header.
+std::uint64_t checksum_of(const std::uint8_t* payload, std::size_t size) {
+  return fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(payload), size));
 }
 
 TraceRecord deserialize_record(const std::uint8_t* p) {
@@ -100,8 +110,7 @@ std::vector<std::uint8_t> rle_encode(const std::vector<std::uint8_t>& in) {
 }
 
 void rle_decode(const std::uint8_t* in, std::size_t in_size,
-                std::vector<std::uint8_t>& out, std::size_t expected,
-                const std::string& name) {
+                std::vector<std::uint8_t>& out, std::size_t expected) {
   out.clear();
   out.reserve(expected);
   std::size_t i = 0;
@@ -112,18 +121,18 @@ void rle_decode(const std::uint8_t* in, std::size_t in_size,
       continue;
     }
     if (i >= in_size) {
-      throw std::runtime_error(name + ": truncated trace (zero-run length "
-                                      "missing in chunk payload)");
+      throw std::runtime_error(
+          "truncated trace (zero-run length missing in chunk payload)");
     }
     const std::size_t run = std::size_t{in[i++]} + 1;
     out.insert(out.end(), run, 0);
     if (out.size() > expected) break;  // corrupt; reported below
   }
   if (out.size() != expected) {
-    throw std::runtime_error(name +
-                             ": corrupt trace (chunk decompressed to " +
-                             std::to_string(out.size()) + " bytes, header "
-                             "promised " + std::to_string(expected) + ")");
+    throw std::runtime_error("corrupt trace (chunk decompressed to " +
+                             std::to_string(out.size()) +
+                             " bytes, header promised " +
+                             std::to_string(expected) + ")");
   }
 }
 
@@ -264,189 +273,104 @@ std::vector<std::uint8_t> encode(const TraceImage& image, bool compress) {
   put_u64(out, image.records.size());
   put_u64(out, image.regions.size());
   put_u64(out, image.init_words.size());
-  put_u64(out, fnv1a64(payload.data(), payload.size()));
+  put_u64(out, checksum_of(payload.data(), payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
-void write_trace_file(const std::string& path, const TraceImage& image,
-                      bool compress) {
-  const std::vector<std::uint8_t> bytes = encode(image, compress);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot write trace file " + path);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool ok = written == bytes.size() && std::fclose(f) == 0;
-  if (!ok) {
-    throw std::runtime_error("short write to trace file " + path);
-  }
-}
+// ---- decode -----------------------------------------------------------------
 
-// ---- TraceReader ------------------------------------------------------------
-
-TraceReader::TraceReader(const std::string& path) : name_(path) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("cannot open trace file " + path);
-  }
-  try {
-    parse_front();
-  } catch (...) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw;
-  }
-}
-
-TraceReader::TraceReader(const std::uint8_t* data, std::size_t size)
-    : buffer_(data), buffer_size_(size), name_("<memory>") {
-  parse_front();
-}
-
-TraceReader::~TraceReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void TraceReader::read_exact(std::uint8_t* out, std::size_t n,
-                             const char* what) {
-  if (file_ != nullptr) {
-    if (std::fread(out, 1, n, file_) != n) {
-      throw std::runtime_error(name_ + ": truncated trace (" +
-                               std::string(what) + ")");
+TraceImage decode(const std::vector<std::uint8_t>& buffer) {
+  // The one bounds check: the next `n` bytes, or a truncation error.
+  std::size_t pos = 0;
+  const auto take = [&](std::uint64_t n, const char* what) {
+    if (buffer.size() - pos < n) {
+      throw std::runtime_error("truncated trace (" + std::string(what) +
+                               ")");
     }
-  } else {
-    if (buffer_size_ - buffer_pos_ < n) {
-      throw std::runtime_error(name_ + ": truncated trace (" +
-                               std::string(what) + ")");
-    }
-    std::memcpy(out, buffer_ + buffer_pos_, n);
-    buffer_pos_ += n;
-  }
-}
-
-void TraceReader::parse_front() {
-  std::uint8_t header[kTraceHeaderBytes];
-  read_exact(header, sizeof header, "header");
+    const std::uint8_t* p = buffer.data() + pos;
+    pos += static_cast<std::size_t>(n);
+    return p;
+  };
+  const std::uint8_t* header = take(kTraceHeaderBytes, "header");
   if (get_u32(header) != kTraceMagic) {
-    throw std::runtime_error(name_ +
-                             ": not a SafeSpec trace (bad magic; expected "
-                             "\"SSTR\")");
+    throw std::runtime_error(
+        "not a SafeSpec trace (bad magic; expected \"SSTR\")");
   }
   const std::uint32_t version = get_u32(header + 4);
   if (version != kTraceVersion) {
     throw std::runtime_error(
-        name_ + ": unsupported trace version " + std::to_string(version) +
+        "unsupported trace version " + std::to_string(version) +
         " (this reader understands version " +
         std::to_string(kTraceVersion) + ")");
   }
-  entry_ = get_u64(header + 16);
+  TraceImage image;
+  image.entry = get_u64(header + 16);
   const std::uint64_t handler_plus1 = get_u64(header + 24);
-  if (handler_plus1 != 0) fault_handler_ = handler_plus1 - 1;
-  records_total_ = get_u64(header + 32);
+  if (handler_plus1 != 0) image.fault_handler = handler_plus1 - 1;
+  const std::uint64_t records_total = get_u64(header + 32);
   const std::uint64_t region_count = get_u64(header + 40);
   const std::uint64_t word_count = get_u64(header + 48);
-  checksum_expected_ = get_u64(header + 56);
+  const std::uint64_t checksum = get_u64(header + 56);
   // Implausible counts are rejected before any allocation so a corrupt
   // header cannot request terabytes.
   if (region_count > (1u << 20) || word_count > (1ull << 32)) {
-    throw std::runtime_error(name_ + ": corrupt trace (implausible region/"
-                                     "init-word count)");
+    throw std::runtime_error(
+        "corrupt trace (implausible region/init-word count)");
   }
 
-  std::uint8_t buf[kTraceRegionBytes];
-  regions_.reserve(static_cast<std::size_t>(region_count));
-  for (std::uint64_t i = 0; i < region_count; ++i) {
-    read_exact(buf, kTraceRegionBytes, "region table");
-    checksum_running_ = fnv1a64(buf, kTraceRegionBytes, checksum_running_);
-    regions_.push_back({get_u64(buf), get_u64(buf + 8),
-                        (get_u64(buf + 16) & kTraceRegionKernel) != 0
-                            ? memory::PagePerm::kKernel
-                            : memory::PagePerm::kUser});
+  const std::uint8_t* p =
+      take(region_count * kTraceRegionBytes, "region table");
+  image.regions.reserve(static_cast<std::size_t>(region_count));
+  for (std::uint64_t i = 0; i < region_count; ++i, p += kTraceRegionBytes) {
+    image.regions.push_back({get_u64(p), get_u64(p + 8),
+                             (get_u64(p + 16) & kTraceRegionKernel) != 0
+                                 ? memory::PagePerm::kKernel
+                                 : memory::PagePerm::kUser});
   }
-  init_words_.reserve(static_cast<std::size_t>(word_count));
-  for (std::uint64_t i = 0; i < word_count; ++i) {
-    read_exact(buf, kTraceInitWordBytes, "init-word table");
-    checksum_running_ = fnv1a64(buf, kTraceInitWordBytes, checksum_running_);
-    init_words_.push_back({get_u64(buf), get_u64(buf + 8)});
+  p = take(word_count * kTraceInitWordBytes, "init-word table");
+  image.init_words.reserve(static_cast<std::size_t>(word_count));
+  for (std::uint64_t i = 0; i < word_count; ++i, p += kTraceInitWordBytes) {
+    image.init_words.push_back({get_u64(p), get_u64(p + 8)});
   }
-}
 
-void TraceReader::load_chunk() {
-  std::uint8_t head[8];
-  read_exact(head, sizeof head, "chunk header");
-  checksum_running_ = fnv1a64(head, sizeof head, checksum_running_);
-  const std::uint32_t raw_bytes = get_u32(head);
-  const std::uint32_t enc_bytes = get_u32(head + 4);
-  const std::uint64_t remaining = records_total_ - records_read_;
-  if (raw_bytes == 0 || raw_bytes % kTraceRecordBytes != 0 ||
-      raw_bytes / kTraceRecordBytes > kTraceChunkRecords ||
-      raw_bytes / kTraceRecordBytes > remaining ||
-      enc_bytes > raw_bytes) {
-    throw std::runtime_error(name_ + ": corrupt trace (bad chunk header: "
-                                     "raw=" + std::to_string(raw_bytes) +
-                             " encoded=" + std::to_string(enc_bytes) + ")");
-  }
-  std::vector<std::uint8_t> enc(enc_bytes);
-  read_exact(enc.data(), enc_bytes, "chunk payload");
-  checksum_running_ = fnv1a64(enc.data(), enc_bytes, checksum_running_);
-  if (enc_bytes == raw_bytes) {
-    chunk_ = std::move(enc);  // stored chunk
-  } else {
-    rle_decode(enc.data(), enc.size(), chunk_, raw_bytes, name_);
-    undelta(chunk_);
-  }
-  chunk_pos_ = 0;
-}
-
-bool TraceReader::next(TraceRecord& out) {
-  if (records_read_ >= records_total_) {
-    if (!checksum_verified_) {
-      checksum_verified_ = true;
-      if (checksum_running_ != checksum_expected_) {
-        throw std::runtime_error(name_ + ": trace checksum mismatch (file "
-                                         "corrupt or truncated rewrite)");
-      }
+  // Every chunk spends at least its 8-byte header on at most
+  // kTraceChunkRecords records, so a corrupt record count cannot make
+  // the reservation outgrow the buffer.
+  image.records.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      records_total, (buffer.size() - pos) / 8 * kTraceChunkRecords)));
+  std::vector<std::uint8_t> chunk;
+  while (image.records.size() < records_total) {
+    const std::uint8_t* head = take(8, "chunk header");
+    const std::uint32_t raw_bytes = get_u32(head);
+    const std::uint32_t enc_bytes = get_u32(head + 4);
+    const std::uint64_t remaining = records_total - image.records.size();
+    if (raw_bytes == 0 || raw_bytes % kTraceRecordBytes != 0 ||
+        raw_bytes / kTraceRecordBytes > kTraceChunkRecords ||
+        raw_bytes / kTraceRecordBytes > remaining ||
+        enc_bytes > raw_bytes) {
+      throw std::runtime_error("corrupt trace (bad chunk header: raw=" +
+                               std::to_string(raw_bytes) +
+                               " encoded=" + std::to_string(enc_bytes) +
+                               ")");
     }
-    return false;
+    const std::uint8_t* raw = take(enc_bytes, "chunk payload");
+    if (enc_bytes != raw_bytes) {  // equal sizes mark a stored chunk
+      rle_decode(raw, enc_bytes, chunk, raw_bytes);
+      undelta(chunk);
+      raw = chunk.data();
+    }
+    for (std::size_t off = 0; off < raw_bytes; off += kTraceRecordBytes) {
+      image.records.push_back(deserialize_record(raw + off));
+    }
   }
-  if (chunk_pos_ >= chunk_.size()) load_chunk();
-  out = deserialize_record(chunk_.data() + chunk_pos_);
-  chunk_pos_ += kTraceRecordBytes;
-  ++records_read_;
-  return true;
-}
 
-// ---- whole-image decode -----------------------------------------------------
-
-namespace {
-TraceImage collect(TraceReader& reader) {
-  TraceImage image;
-  image.entry = reader.entry();
-  image.fault_handler = reader.fault_handler();
-  image.regions = reader.regions();
-  image.init_words = reader.init_words();
-  image.records.reserve(static_cast<std::size_t>(reader.records_total()));
-  TraceRecord rec;
-  while (reader.next(rec)) image.records.push_back(rec);
-  // Drives the end-of-stream checksum verification.
-  while (reader.next(rec)) {}
+  if (checksum_of(buffer.data() + kTraceHeaderBytes,
+                  pos - kTraceHeaderBytes) != checksum) {
+    throw std::runtime_error(
+        "trace checksum mismatch (file corrupt or truncated rewrite)");
+  }
   return image;
-}
-}  // namespace
-
-TraceImage decode(const std::uint8_t* data, std::size_t size) {
-  TraceReader reader(data, size);
-  return collect(reader);
-}
-
-TraceImage decode(const std::vector<std::uint8_t>& buffer) {
-  return decode(buffer.data(), buffer.size());
-}
-
-TraceImage read_trace_file(const std::string& path) {
-  TraceReader reader(path);
-  return collect(reader);
 }
 
 }  // namespace safespec::trace

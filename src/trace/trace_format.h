@@ -1,4 +1,4 @@
-// The SafeSpec trace file format ("SSTR"), version 1.
+// The SafeSpec trace encoding ("SSTR"), version 1.
 //
 // A trace is a complete, replayable workload: the static program image
 // (one fixed-width record per instruction) plus the address-space setup
@@ -6,12 +6,13 @@
 // memory words). Because the simulator is execute-driven — speculative
 // data flow must be real, see src/isa/instruction.h — a trace carries
 // the decoded static stream rather than a dynamic instruction log:
-// replaying it reconstructs the exact isa::Program and address space,
-// so a recorded synthetic workload replays with bit-identical cycle
-// counts and architectural state (enforced by tests/trace_test.cc and
-// the `trace_record --verify` self-check).
+// decoding it reconstructs the exact isa::Program and address space,
+// so an encoded synthetic workload replays with bit-identical cycle
+// counts and architectural state (enforced by tests/trace_test.cc).
+// The codec runs in memory only: the trace:@NAME workloads and the
+// benchmark round-trip images through encode() and decode().
 //
-// On-disk layout (all integers little-endian):
+// Encoded layout (all integers little-endian):
 //
 //   offset size  field
 //   ------ ----  -----------------------------------------------------
@@ -54,17 +55,16 @@
 //
 // Chunking + compression: records are grouped into chunks of
 // kTraceChunkRecords. Each chunk is independently encoded — the first
-// record deltas against an all-zero record — so a reader streams and
-// decompresses one chunk at a time (TraceReader) without loading the
-// whole trace. The codec is dependency-free: each 32-byte record is
-// XOR-delta'd byte-wise against the previous record (consecutive
-// records share pc high bytes, opcode mixes and zero operand fields,
-// so deltas are mostly zero), then the delta stream is zero-run-length
-// encoded (0x00 followed by run-length-minus-1; other bytes literal).
-// A chunk whose encoding would not shrink is stored raw, signalled by
-// encoded_bytes == raw_bytes.
+// record deltas against an all-zero record. The codec is dependency-free:
+// each 32-byte record is XOR-delta'd byte-wise against the previous
+// record (consecutive records share pc high bytes, opcode mixes and zero
+// operand fields, so deltas are mostly zero), then the delta stream is
+// zero-run-length encoded (0x00 followed by run-length-minus-1; other
+// bytes literal). A chunk whose encoding would not shrink is stored raw,
+// signalled by encoded_bytes == raw_bytes. The payload checksum is
+// common/hash.h's fnv1a64.
 //
-// Versioning: readers reject any version other than kTraceVersion with
+// Versioning: decode() rejects any version other than kTraceVersion with
 // an error naming both versions. Additions that keep the record width
 // and header layout (new flag bits) stay in version 1; anything else
 // bumps the version.
@@ -96,7 +96,7 @@ inline constexpr std::size_t kTraceRecordBytes = 32;
 inline constexpr std::size_t kTraceRegionBytes = 24;
 inline constexpr std::size_t kTraceInitWordBytes = 16;
 
-/// Records per chunk (64 KiB raw) — the streaming/decompression unit.
+/// Records per chunk (64 KiB raw) — the compression unit.
 inline constexpr std::size_t kTraceChunkRecords = 2048;
 
 /// One fixed-width instruction record, in memory. Field meanings match
@@ -114,19 +114,5 @@ struct TraceRecord {
   std::int64_t imm = 0;
   Addr target = 0;
 };
-
-/// FNV-1a 64-bit, the payload checksum. Incremental form so the
-/// streaming reader can fold in chunk bytes as they arrive.
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
-                             std::uint64_t hash = kFnvOffset) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 }  // namespace safespec::trace

@@ -17,8 +17,4 @@ workloads::WorkloadImage to_workload_image(const TraceImage& image) {
   return out;
 }
 
-workloads::WorkloadImage load_workload(const std::string& path) {
-  return to_workload_image(read_trace_file(path));
-}
-
 }  // namespace safespec::trace

@@ -39,30 +39,14 @@ std::uint64_t floor_pow2(std::uint64_t v) {
 
 WorkloadImage generate(const WorkloadProfile& profile,
                        std::uint64_t target_instrs) {
-  // Trace frontend: "@" round-trips the synthetic image through the
-  // codec in memory; any other non-empty value is a trace file path.
-  // Either way the knobs below never run — the trace *is* the program.
+  // "@" round-trips the synthetic image through the trace codec in
+  // memory: the same program, decoded from its encoding.
   if (profile.trace_file == "@") {
     WorkloadProfile inner = profile;
     inner.trace_file.clear();
     return trace::to_workload_image(
         trace::decode(trace::encode(
             trace::record_workload(generate(inner, target_instrs)))));
-  }
-  if (!profile.trace_file.empty()) {
-    try {
-      return trace::load_workload(profile.trace_file);
-    } catch (const std::exception& e) {
-      // A missing or unreadable trace file is almost always a workload
-      // spelling mistake; name the file and the accepted grammar instead
-      // of surfacing the raw reader error alone.
-      throw std::runtime_error(
-          "workload trace \"" + profile.trace_file +
-          "\" could not be loaded: " + e.what() +
-          " (the trace axis accepts trace:PATH for a file recorded by "
-          "trace_record, or trace:@NAME for an in-memory round-trip of "
-          "the synthetic profile NAME)");
-    }
   }
   if (profile.code_blocks <= 0 || profile.block_len <= 0) {
     throw std::invalid_argument("generate: empty workload body");

@@ -19,9 +19,8 @@ std::unique_ptr<sim::Simulator> make_workload_sim(
 
 /// Builds the simulator for an already-materialised image (the
 /// generate() half of make_workload_sim factored out): maps its regions
-/// and applies its init words. Used directly by trace round-trip
-/// verification, where the image comes from a trace file rather than the
-/// generator.
+/// and applies its init words. Used directly where the image comes from
+/// a fuzz seed or a trace codec round trip rather than the generator.
 std::unique_ptr<sim::Simulator> make_image_sim(WorkloadImage image,
                                                const cpu::CoreConfig& config);
 

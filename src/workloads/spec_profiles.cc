@@ -344,38 +344,24 @@ std::vector<std::string> spec2017_profile_names() {
 }
 
 WorkloadProfile profile_by_name(const std::string& name) {
-  // "trace:@NAME" — profile NAME round-tripped through the trace codec
-  // in memory; "trace:PATH" — replay the trace file at PATH.
-  if (name.rfind("trace:", 0) == 0) {
-    const std::string arg = name.substr(6);
-    if (arg.empty()) {
-      throw std::out_of_range(
-          "empty trace workload spec (want trace:PATH or trace:@PROFILE): " +
-          name);
+  // "trace:@NAME" — profile NAME, round-tripped through the trace codec
+  // in memory; its name stays the row label.
+  const bool traced = name.rfind("trace:@", 0) == 0;
+  const std::string base = traced ? name.substr(7) : name;
+  const std::vector<WorkloadProfile> profiles = spec2017_profiles();
+  for (const WorkloadProfile& p : profiles) {
+    if (p.name != base) continue;
+    WorkloadProfile out = p;
+    if (traced) {
+      out.name = name;
+      out.trace_file = "@";
     }
-    if (arg[0] == '@') {
-      WorkloadProfile p;
-      try {
-        p = profile_by_name(arg.substr(1));
-      } catch (const std::out_of_range& e) {
-        throw std::out_of_range(
-            std::string(e.what()) +
-            " (in trace:@NAME, NAME must be a registered synthetic "
-            "profile; use trace:PATH to replay a trace file)");
-      }
-      p.name = name;
-      p.trace_file = "@";
-      return p;
-    }
-    WorkloadProfile p;
-    p.name = name;
-    p.trace_file = arg;
-    return p;
+    return out;
   }
-  for (const auto& p : spec2017_profiles()) {
-    if (p.name == name) return p;
-  }
-  throw std::out_of_range("unknown workload profile: " + name);
+  std::string known;
+  for (const WorkloadProfile& p : profiles) known += p.name + ", ";
+  throw std::out_of_range("unknown workload profile \"" + name +
+                          "\" (known: " + known + "or trace:@NAME)");
 }
 
 }  // namespace safespec::workloads

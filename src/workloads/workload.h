@@ -49,20 +49,18 @@ struct WorkloadProfile {
 
   std::uint64_t seed = 1;
 
-  // ---- trace frontend --------------------------------------------------
-  /// Empty: synthetic generation from the knobs above. "@": generate
+  // ---- trace codec -----------------------------------------------------
+  /// "" (synthetic generation from the knobs above) or "@" (generate
   /// synthetically, then round-trip the image through the trace codec
-  /// in memory (encode → decode — exercises the trace path with no
-  /// file; bit-identical by construction and by test). Anything else:
-  /// a trace file path to load instead of generating (the knobs above
-  /// are ignored; see src/trace/trace_format.h for the format).
+  /// in memory: encode → decode, bit-identical by construction and by
+  /// test).
   std::string trace_file;
 };
 
 /// A program image: the program plus everything needed to set up its
-/// address space. The generator emits one user data region; trace-loaded
-/// images carry their recorded region list (kernel-only secret regions of
-/// fuzz programs included), and fuzz::FuzzProgram is one of these.
+/// address space. The generator emits one user data region; fuzz
+/// programs add kernel-only secret regions, and fuzz::FuzzProgram is one
+/// of these.
 struct WorkloadImage {
   isa::Program program;
   std::vector<memory::Region> regions;  ///< mapped identity-translated
@@ -85,11 +83,10 @@ std::vector<WorkloadProfile> spec2017_profiles();
 /// the experiment engine; builds the profile table internally).
 std::vector<std::string> spec2017_profile_names();
 
-/// Look up one profile by name (throws std::out_of_range if unknown).
-/// Besides the 22 SPEC names, two trace spellings are accepted:
-///   "trace:PATH"   — replay the trace file at PATH;
-///   "trace:@NAME"  — profile NAME, round-tripped through the trace
-///                    codec in memory (see WorkloadProfile::trace_file).
+/// Look up one profile by name. Besides the 22 SPEC names, "trace:@NAME"
+/// is profile NAME round-tripped through the trace codec in memory (see
+/// WorkloadProfile::trace_file). Any other name throws std::out_of_range
+/// naming it and listing the known ones.
 WorkloadProfile profile_by_name(const std::string& name);
 
 }  // namespace safespec::workloads

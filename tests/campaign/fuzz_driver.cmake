@@ -4,13 +4,15 @@
 # report as `campaign_driver triage` and exits 1 when any seed failed.
 # Inputs: -DFUZZ (fuzz_driver binary), -DCAMPAIGN (campaign_driver
 # binary), -DMANIFEST (a mutated fuzz campaign whose seeds all fail),
-# -DWORK (scratch directory).
+# -DOTHER_MANIFEST (a different fuzz campaign), -DWORK (scratch
+# directory).
 #
 #   (a) the repro line that triage prints for the campaign's first group
 #       reproduces the failure: it names the injected defect, so the
 #       built fuzz_driver exits 1 on it. That holds for triage of the
-#       journals and of the merged artifact, and triage without
-#       --manifest exits 2 (a merged artifact alone names no axis);
+#       journals and of the merged artifact. Triage of the merged
+#       artifact exits 2 without --manifest (the artifact names no axis)
+#       and under OTHER_MANIFEST (the header names other work);
 #   (b) a mutated sweep prints a byte-identical report at 1 and 4
 #       threads, and exits 1;
 #   (c) a clean sweep exits 0.
@@ -55,6 +57,14 @@ execute_process(COMMAND ${CAMPAIGN} triage --merged=${WORK}/merged.jsonl
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
     "triage --merged without --manifest exited ${rc}; expected 2")
+endif()
+execute_process(COMMAND ${CAMPAIGN} triage --manifest=${OTHER_MANIFEST}
+                        --merged=${WORK}/merged.jsonl
+  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+    "triage --merged under another campaign's manifest exited ${rc}; "
+    "expected 2")
 endif()
 
 # (b) thread-count invariance of a failing sweep's report.

@@ -238,6 +238,8 @@ TEST(Campaign, BenchSmokeGridMergesToPinnedBytes) {
   run_shard(m, dir, 0, options);
   merge(m, dir, dir + "/merged.jsonl");
   EXPECT_EQ(read_file(dir + "/merged.jsonl"),
+            "{\"campaign\":\"smoke\",\"version\":1,\"kind\":\"grid\","
+            "\"units\":4,\"work_fingerprint\":\"b2b116fe6a5c5727\"}\n"
             "{\"unit\":0,\"workload\":\"mcf\",\"policy\":\"baseline\","
             "\"preset\":\"skylake\",\"stop\":\"max-instrs\",\"cycles\":205679,"
             "\"committed\":20004,\"ipc\":0.097258349175171024}\n"
@@ -348,8 +350,14 @@ TEST(Triage, ShardSplitReproducesTheSameReport) {
   merge(two, dir2, dir2 + "/merged.jsonl");
   EXPECT_EQ(read_file(dir1 + "/merged.jsonl"),
             read_file(dir2 + "/merged.jsonl"));
-  const TriageReport from_file = triage_merged_file(dir1 + "/merged.jsonl");
+  const TriageReport from_file =
+      triage_merged_file(one, dir1 + "/merged.jsonl");
   EXPECT_EQ(render_triage_json(from_file), render_triage_json(report1));
+  // The merged header names the work: the same axes without the defect
+  // are another campaign, whose repro lines would not reproduce.
+  EXPECT_THROW(triage_merged_file(fuzz_manifest("triage", 8, 1),
+                                  dir1 + "/merged.jsonl"),
+               std::runtime_error);
 
   // Groups carry the smallest failing seed and ascending members.
   ASSERT_FALSE(report1.groups.empty());

@@ -107,13 +107,12 @@ TEST(Cell, ResolveAppliesOverridesThenPolicyAndCores) {
   cell.workload = "lbm";
   cell.policy = "WFC";
   cell.cores = 2;
-  cell.overrides = {"policy=WFB", "cores=4", "rob_entries=128", "trace=@"};
+  cell.overrides = {"policy=WFB", "cores=4", "rob_entries=128"};
   const ResolvedCell r = resolve(cell);
   EXPECT_EQ(r.machine.core.policy, "WFC");
   EXPECT_EQ(r.machine.core.cores, 2);
   EXPECT_EQ(r.machine.core.rob_entries, 128);
   EXPECT_EQ(r.profile.name, "lbm");
-  EXPECT_EQ(r.profile.trace_file, "@");
 
   cell.cores = 0;  // the machine's own count: the override's
   EXPECT_EQ(resolve(cell).machine.core.cores, 4);

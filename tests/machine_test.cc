@@ -96,7 +96,7 @@ TEST(MachineSpecJson, PartialDocumentKeepsPresetDefaults) {
   EXPECT_EQ(spec.core.rob_entries, 48);
   // Untouched fields come from the embedded preset.
   EXPECT_EQ(spec.core.fetch_width, 2);
-  EXPECT_EQ(spec.core.hierarchy.l1d.size_bytes, 8u * 1024u);
+  EXPECT_EQ(spec.core.hierarchy.l1d.size_bytes, 16u * 1024u);
 }
 
 TEST(MachineSpecJson, HexStringsAcceptedForAddresses) {
@@ -374,7 +374,6 @@ const std::vector<std::pair<std::string, std::string>>& every_key() {
   static const std::vector<std::pair<std::string, std::string>> keys = {
       {"policy", "WFC"},
       {"allow_undersized_shadows", "true"},
-      {"trace", "@"},
       {"cores", "3"},
       {"fetch_width", "5"},
       {"issue_width", "4"},
@@ -394,19 +393,15 @@ const std::vector<std::pair<std::string, std::string>>& every_key() {
       {"sharp_alarm_epoch", "5000"},
       {"l1i.size_bytes", "16384"},
       {"l1i.ways", "4"},
-      {"l1i.line_bytes", "128"},
       {"l1i.hit_latency", "3"},
       {"l1d.size_bytes", "65536"},
       {"l1d.ways", "16"},
-      {"l1d.line_bytes", "16"},
       {"l1d.hit_latency", "5"},
       {"l2.size_bytes", "1048576"},
       {"l2.ways", "2"},
-      {"l2.line_bytes", "256"},
       {"l2.hit_latency", "15"},
       {"l3.size_bytes", "8388608"},
       {"l3.ways", "32"},
-      {"l3.line_bytes", "512"},
       {"l3.hit_latency", "50"},
       {"memory_latency", "300"},
       {"itlb.entries", "128"},
@@ -474,7 +469,7 @@ TEST(MachineSpecSet, EveryKeyRoundTripsThroughJson) {
     parsed.set(key, value);
     EXPECT_EQ(parsed.to_json(), json);
   }
-  EXPECT_EQ(seen.size(), 59u);
+  EXPECT_EQ(seen.size(), 54u);
 }
 
 TEST(MachineSpecJson, RejectsWhatTheLayoutDoesNotList) {

@@ -68,7 +68,6 @@ CacheConfig small_cache() {
   return {.name = "t",
           .size_bytes = 4096,  // 64 lines
           .ways = 4,           // 16 sets
-          .line_bytes = 64,
           .hit_latency = 4};
 }
 
@@ -281,8 +280,7 @@ TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
 
 TEST(Replacement, NonPowerOfTwoSetsIndexByModuloAndEvictLruWithinSet) {
   // 3 sets x 2 ways: the modulo path, not the mask.
-  Cache c({.name = "t3", .size_bytes = 3 * 2 * 64, .ways = 2,
-           .line_bytes = 64});
+  Cache c({.name = "t3", .size_bytes = 3 * 2 * 64, .ways = 2});
   for (Addr line = 0; line < 30; ++line) {
     EXPECT_EQ(c.set_of(line), static_cast<int>(line % 3)) << line;
   }
@@ -486,14 +484,10 @@ TEST(SetAssocTest, BuildingALevelAllocatesAFixedFewBlocks) {
 
 HierarchyConfig tiny_hierarchy() {
   HierarchyConfig h;
-  h.l1i = {.name = "L1I", .size_bytes = 1024, .ways = 2, .line_bytes = 64,
-           .hit_latency = 4};
-  h.l1d = {.name = "L1D", .size_bytes = 1024, .ways = 2, .line_bytes = 64,
-           .hit_latency = 4};
-  h.l2 = {.name = "L2", .size_bytes = 4096, .ways = 4, .line_bytes = 64,
-          .hit_latency = 12};
-  h.l3 = {.name = "L3", .size_bytes = 16384, .ways = 8, .line_bytes = 64,
-          .hit_latency = 44};
+  h.l1i = {.name = "L1I", .size_bytes = 1024, .ways = 2, .hit_latency = 4};
+  h.l1d = {.name = "L1D", .size_bytes = 1024, .ways = 2, .hit_latency = 4};
+  h.l2 = {.name = "L2", .size_bytes = 4096, .ways = 4, .hit_latency = 12};
+  h.l3 = {.name = "L3", .size_bytes = 16384, .ways = 8, .hit_latency = 44};
   h.memory_latency = 191;
   return h;
 }
@@ -517,6 +511,19 @@ TEST(Hierarchy, NonFillingAccessLeavesNoTrace) {
   EXPECT_FALSE(h.resident_l1(line_of(0x20000), Side::kData));
   EXPECT_FALSE(h.resident_l2(line_of(0x20000)));
   EXPECT_FALSE(h.resident_l3(line_of(0x20000)));
+
+  // A non-filling hit leaves the hit level's recency alone too. Lines
+  // k*16 share L2 set 0 (4 ways); line 0 is its LRU way and has left the
+  // 2-way L1D, so the probe hits in L2.
+  for (Addr k = 0; k < 4; ++k) h.fill_all_levels(k * 16, Side::kData);
+  ASSERT_FALSE(h.resident_l1(0, Side::kData));
+  const AccessOutcome out =
+      h.timed_access(0, Side::kData, CacheHierarchy::Fill::kNo);
+  EXPECT_EQ(out.level, HitLevel::kL2);
+  // The next fill into the set still evicts the line the probe hit.
+  h.fill_all_levels(4 * 16, Side::kData);
+  EXPECT_FALSE(h.resident_l2(0));
+  EXPECT_TRUE(h.resident_l2(16));
 }
 
 TEST(Hierarchy, InclusiveFillPopulatesAllLevels) {

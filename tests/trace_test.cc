@@ -1,7 +1,7 @@
-// Trace subsystem: codec round trips, the chunked streaming reader,
-// corrupt-input rejection, replay bit-identity (the guarantee the trace
-// frontend rests on), the fetch decoded-instruction buffer's
-// cycle-neutrality, and the cached functional engine.
+// Trace codec: in-memory round trips, corrupt-input rejection, replay
+// bit-identity (the guarantee the trace:@NAME workloads rest on), the
+// fetch decoded-instruction buffer's cycle-neutrality, and the cached
+// functional engine.
 #include <array>
 #include <cstdint>
 #include <string>
@@ -89,7 +89,7 @@ TEST(TraceCodec, ImageSurvivesEncodeDecode) {
   }
 }
 
-TEST(TraceCodec, StreamingReaderMatchesWholeImageDecode) {
+TEST(TraceCodec, MultiChunkImageSurvivesEncodeDecode) {
   // xalancbmk's large code footprint spans several chunks, so this
   // exercises the chunk-boundary path, not just one small chunk.
   const auto workload =
@@ -97,21 +97,22 @@ TEST(TraceCodec, StreamingReaderMatchesWholeImageDecode) {
   const trace::TraceImage image = trace::record_workload(workload);
   ASSERT_GT(image.records.size(), trace::kTraceChunkRecords);
 
-  const std::vector<std::uint8_t> bytes = trace::encode(image);
-  trace::TraceReader reader(bytes.data(), bytes.size());
-  EXPECT_EQ(reader.records_total(), image.records.size());
-
-  trace::TraceRecord rec;
-  std::size_t i = 0;
-  while (reader.next(rec)) {
-    ASSERT_LT(i, image.records.size());
-    EXPECT_EQ(rec.pc, image.records[i].pc);
-    EXPECT_EQ(rec.op, image.records[i].op);
-    EXPECT_EQ(rec.imm, image.records[i].imm);
-    ++i;
+  const trace::TraceImage back = trace::decode(trace::encode(image));
+  ASSERT_EQ(back.records.size(), image.records.size());
+  for (std::size_t i = 0; i < image.records.size(); ++i) {
+    const trace::TraceRecord& a = back.records[i];
+    const trace::TraceRecord& b = image.records[i];
+    ASSERT_EQ(a.pc, b.pc) << i;
+    EXPECT_EQ(a.op, b.op) << i;
+    EXPECT_EQ(a.alu, b.alu) << i;
+    EXPECT_EQ(a.cond, b.cond) << i;
+    EXPECT_EQ(a.dst, b.dst) << i;
+    EXPECT_EQ(a.src1, b.src1) << i;
+    EXPECT_EQ(a.src2, b.src2) << i;
+    EXPECT_EQ(a.flags, b.flags) << i;
+    EXPECT_EQ(a.imm, b.imm) << i;
+    EXPECT_EQ(a.target, b.target) << i;
   }
-  EXPECT_EQ(i, image.records.size());
-  EXPECT_EQ(reader.records_read(), image.records.size());
 }
 
 TEST(TraceCodec, CompressionShrinksTheFile) {
@@ -173,6 +174,12 @@ TEST(TraceCodec, RejectsCorruptPayload) {
   auto bytes = trace::encode(trace::record_workload(workload));
   bytes.back() ^= 0x5a;  // damage the last chunk's payload
   EXPECT_THROW(trace::decode(bytes), std::runtime_error);
+
+  // A record count no buffer could hold fails as a truncation, before
+  // any allocation sized by it.
+  auto huge = trace::encode(trace::TraceImage{});
+  for (std::size_t i = 32; i < 40; ++i) huge[i] = 0xff;
+  EXPECT_THROW(trace::decode(huge), std::runtime_error);
 }
 
 // ---- replay bit-identity ----------------------------------------------------
@@ -188,7 +195,7 @@ TEST(TraceReplay, InMemoryRoundTripIsBitIdentical) {
                              kInstrs));
 }
 
-TEST(TraceReplay, FileRoundTripIsBitIdenticalPerFuzzScenarioClass) {
+TEST(TraceReplay, RoundTripIsBitIdenticalPerFuzzScenarioClass) {
   const struct {
     const char* name;
     double fuzz::ScenarioWeights::*weight;
@@ -214,13 +221,10 @@ TEST(TraceReplay, FileRoundTripIsBitIdenticalPerFuzzScenarioClass) {
     spec.weights.*scenario.weight = 1.0;
 
     const auto fp = fuzz::generate_program(7, spec);
-    const std::string path =
-        ::testing::TempDir() + "trace_test_" + scenario.name + ".trace";
-    trace::write_trace_file(path, trace::record_workload(fp));
-
+    const auto replayed = trace::to_workload_image(
+        trace::decode(trace::encode(trace::record_workload(fp))));
     expect_identical(run_image(fp, config, 0),
-                     run_image(trace::load_workload(path), config, 0));
-    std::remove(path.c_str());
+                     run_image(replayed, config, 0));
   }
 }
 
@@ -320,38 +324,20 @@ TEST(CachedEngine, SampledRunsStayDeterministicAcrossSimulators) {
 
 TEST(TraceSpec, MachineSpecCarriesTraceAndDibFields) {
   sim::MachineSpec spec;
-  spec.set("trace=@");
   spec.set("dib_lines=0");
-  EXPECT_EQ(spec.trace, "@");
   EXPECT_EQ(spec.core.dib_lines, 0);
+  // The trace codec is a workload spelling (trace:@NAME), not a machine
+  // field.
+  EXPECT_THROW(spec.set("trace=@"), std::invalid_argument);
 
   const std::string json = spec.to_json();
   const sim::MachineSpec parsed = sim::MachineSpec::from_json(json);
-  EXPECT_EQ(parsed.trace, "@");
   EXPECT_EQ(parsed.core.dib_lines, 0);
   EXPECT_EQ(parsed.to_json(), json);  // stable round trip
 
   sim::MachineSpec bad;
   bad.core.dib_lines = -1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-}
-
-TEST(TraceSpec, ExperimentExpandAppliesTheTraceAxis) {
-  sim::MachineSpec machine = sim::machine_preset("skylake");
-  machine.trace = "@";
-  experiment::ExperimentSpec spec;
-  spec.profile_names({"mcf", "gcc"})
-      .base_machine(machine)
-      .policy("baseline")
-      .instrs(1'000);
-  const auto cells = spec.expand();
-  ASSERT_EQ(cells.size(), 2u);
-  for (const auto& cell : cells) {
-    const auto resolved = experiment::resolve(cell, spec.machine());
-    EXPECT_EQ(resolved.profile.trace_file, "@");
-    EXPECT_EQ(resolved.profile.name, cell.workload);  // row labels survive
-  }
-  EXPECT_EQ(cells[0].workload, "mcf");
 }
 
 TEST(TraceSpec, ProfileByNameTraceSpellings) {
@@ -361,13 +347,11 @@ TEST(TraceSpec, ProfileByNameTraceSpellings) {
   EXPECT_EQ(in_memory.stream_frac,
             workloads::profile_by_name("lbm").stream_frac);
 
-  const auto from_file = workloads::profile_by_name("trace:/tmp/x.trace");
-  EXPECT_EQ(from_file.trace_file, "/tmp/x.trace");
-
+  EXPECT_THROW(workloads::profile_by_name("trace:/tmp/x.trace"),
+               std::out_of_range);
   EXPECT_THROW(workloads::profile_by_name("trace:"), std::out_of_range);
   EXPECT_THROW(workloads::profile_by_name("trace:@nosuch"),
                std::out_of_range);
-  EXPECT_THROW(workloads::generate(from_file, 1'000), std::runtime_error);
 }
 
 }  // namespace

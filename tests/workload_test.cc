@@ -86,41 +86,39 @@ TEST(Generator, EmptyBodyRejected) {
   EXPECT_THROW(generate(p, 1000), std::invalid_argument);
 }
 
-// ---- trace:PATH / trace:@NAME error reporting ------------------------------
+// ---- unknown workload names -------------------------------------------------
 
-/// Regression: a missing trace file used to surface only the raw reader
-/// error. The wrapper must name the offending path and teach both
-/// accepted spellings so a workload-axis typo is self-diagnosing.
-TEST(TraceWorkloads, MissingTraceFileNamesPathAndGrammar) {
-  const auto profile =
-      profile_by_name("trace:/nonexistent/definitely_missing.trace");
+/// A stale trace:PATH, an empty or unknown trace:@NAME and a misspelt
+/// profile all fail the same way: the error names the input and lists
+/// every name that would have worked, plain and as trace:@NAME.
+void expect_unknown_workload(const std::string& name) {
   try {
-    generate(profile, 1'000);
-    FAIL() << "expected runtime_error for a missing trace file";
-  } catch (const std::runtime_error& e) {
+    profile_by_name(name);
+    ADD_FAILURE() << name << " must be an unknown workload";
+  } catch (const std::out_of_range& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("/nonexistent/definitely_missing.trace"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("trace:PATH"), std::string::npos) << what;
-    EXPECT_NE(what.find("trace:@NAME"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"" + name + "\""), std::string::npos) << what;
+    EXPECT_NE(what.find("perlbench, "), std::string::npos) << what;
+    EXPECT_NE(what.find("mcf"), std::string::npos) << what;
+    EXPECT_NE(what.find("gcc, or trace:@NAME"), std::string::npos) << what;
   }
 }
 
+/// trace:PATH no longer loads a file; a stale one must say which input
+/// failed and which trace spelling is left.
+TEST(TraceWorkloads, MissingTraceFileNamesPathAndGrammar) {
+  expect_unknown_workload("trace:/tmp/x.trace");
+}
+
+/// An unknown NAME, with or without trace:@, suggests both spellings of
+/// every known workload.
 TEST(TraceWorkloads, UnknownAtNameSuggestsBothSpellings) {
-  try {
-    profile_by_name("trace:@no_such_profile");
-    FAIL() << "expected out_of_range for an unknown trace:@NAME profile";
-  } catch (const std::out_of_range& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no_such_profile"), std::string::npos) << what;
-    EXPECT_NE(what.find("trace:@NAME"), std::string::npos) << what;
-    EXPECT_NE(what.find("trace:PATH"), std::string::npos) << what;
-  }
+  expect_unknown_workload("trace:@nosuch");
+  expect_unknown_workload("mfc");
 }
 
 TEST(TraceWorkloads, EmptyTraceSpecRejected) {
-  EXPECT_THROW(profile_by_name("trace:"), std::out_of_range);
+  expect_unknown_workload("trace:");
 }
 
 // Cross-product sweep: every profile must run to its halt (or instruction

@@ -187,7 +187,7 @@ int cmd_triage(const Options& options) {
   const bool merged = !options.merged_path.empty();
   const campaign::Manifest manifest = load_manifest(options, !merged);
   const campaign::TriageReport report =
-      merged ? campaign::triage_merged_file(options.merged_path)
+      merged ? campaign::triage_merged_file(manifest, options.merged_path)
              : campaign::triage(manifest, options.dir);
   std::fputs(campaign::render_triage_text(report, manifest).c_str(),
              stdout);

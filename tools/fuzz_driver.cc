@@ -26,7 +26,6 @@
 #include "experiment/experiment.h"
 #include "fuzz/generator.h"
 #include "isa/program.h"
-#include "trace/trace_workload.h"
 
 namespace {
 
@@ -50,10 +49,6 @@ void usage(const char* prog, std::FILE* out) {
       "                    \"mutate\" field; an unknown NAME lists the known)\n"
       "  --dump            disassemble each seed's program (use with a\n"
       "                    small --count when reproducing a failure)\n"
-      "  --trace=FILE      with --dump: also record each seed's program,\n"
-      "                    regions and pokes as a trace file (FILE for a\n"
-      "                    single seed, FILE.<seed> for several); replay\n"
-      "                    with anything that accepts trace:FILE\n"
       "  --print-spec      print the effective FuzzSpec JSON and exit\n",
       prog);
 }
@@ -71,7 +66,6 @@ int main(int argc, char** argv) {
   int threads = 0;
   bool dump = false;
   bool print_spec = false;
-  std::string trace_path;
 
   // Every value flag accepts "--flag value" as well as "--flag=value",
   // as the hand-rolled loop always did.
@@ -85,15 +79,9 @@ int main(int argc, char** argv) {
       .bounded_int("--cores", &axis.cores, /*separated=*/true)
       .string("--mutate", &axis.mutate, /*separated=*/true)
       .set_true("--dump", &dump)
-      .string("--trace", &trace_path, /*separated=*/true)
       .set_true("--print-spec", &print_spec);
   flags.parse(argc, argv);
 
-  if (!trace_path.empty() && !dump) {
-    std::fprintf(stderr, "--trace requires --dump (it records the dumped "
-                         "seeds' programs)\n");
-    return 2;
-  }
   try {
     manifest.validate();
     const campaign::UnitRunner runner(manifest);
@@ -108,13 +96,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(seed), fp.program.size());
       for (const auto& c : fp.classes) std::printf(" %s", c.c_str());
       std::printf(" ===\n%s", isa::to_string(fp.program).c_str());
-      if (!trace_path.empty()) {
-        const std::string path =
-            axis.count == 1 ? trace_path
-                            : trace_path + "." + std::to_string(seed);
-        trace::write_trace_file(path, trace::record_workload(fp));
-        std::printf("trace: wrote %s\n", path.c_str());
-      }
     }
     std::vector<campaign::UnitRecord> records(manifest.num_units());
     experiment::ParallelRunner(threads).parallel_for(

@@ -42,7 +42,7 @@ using safespec::experiment::CellRun;
 /// scheduling and the shared L2/L3 with per-core owner attribution. The
 /// trace:@ cells run the same workloads through the trace codec round
 /// trip (cycle-identical to their synthetic twins by construction, so
-/// the perf_compare gate covers the trace frontend too). The trailing
+/// the perf_compare gate covers the codec too). The trailing
 /// sampled/sampled-fast/functional cells track the sampled-simulation
 /// paths: effective MIPS for the SMARTS schedule, the aggressive-gap
 /// asymptote, and the raw oracle-engine MIPS.
@@ -80,8 +80,8 @@ void usage(const char* prog, std::FILE* out) {
       "                   detailed (default), sampled, sampled-fast, or\n"
       "                   functional; cores=N (detailed mode only) runs N\n"
       "                   cores sharing the L2/L3 (default: a\n"
-      "                   representative grid). Workloads accept trace\n"
-      "                   spellings: trace:@NAME / trace:PATH\n"
+      "                   representative grid). Workload trace:@NAME\n"
+      "                   runs NAME through the trace codec in memory\n"
       "  --set=key=value  override one machine field on every cell's\n"
       "                   preset (repeatable; see MachineSpec::set) —\n"
       "                   e.g. --set=dib_lines=0 measures the\n"
