@@ -407,9 +407,9 @@ void Core::promote_eligible() {
   // remains unresolved (§III "wait-for-branch") and its own fate is in:
   // it has issued, and a jump/call/branch has resolved. Everything at or
   // past the frontier has an older unresolved branch (or is one).
-  const SeqNum front_seq = rob_.front().seq;
+  const SeqNum front_seq = head_seq();
   const SeqNum frontier = unresolved_branches_.empty()
-                              ? rob_.back().seq + 1
+                              ? next_seq_
                               : unresolved_branches_.front();
   assert(frontier >= promote_scan_);
   const auto promote = [&](DynInst& di) {
@@ -515,22 +515,26 @@ void Core::stage_issue() {
   const std::uint64_t stalls_before = stats_.shadow_stall_cycles;
   int issued = 0;
   for (std::size_t r = 0; r < ready_.size() && issued < config_.issue_width;) {
-    DynInst* di = find_by_seq(ready_[r]);
+    const SeqNum seq = ready_[r];
+    DynInst* di = find_by_seq(seq);
     assert(di != nullptr && di->state == InstState::kWaiting &&
            di->src1_ready && di->src2_ready);
     // A fence executes only once it is the oldest instruction (its whole
     // ordering purpose).
-    if (di->inst.op == OpClass::kFence && rob_.front().seq != di->seq) {
+    if (di->inst.op == OpClass::kFence && head_seq() != seq) {
       ++r;
       continue;
     }
-    if (!execute(*di)) {
+    const Cycle done_cycle = execute(*di);
+    if (done_cycle == kNeverCycle) {
       ++r;
       continue;
     }
     di->state = InstState::kIssued;
     // Sorted insert, scanning from the back (the soonest completions).
-    const std::pair<Cycle, SeqNum> done(di->done_cycle, di->seq);
+    // The key comes from registers: reading it back from the entry would
+    // wait on the stores execute (and the state update) just made.
+    const std::pair<Cycle, SeqNum> done(done_cycle, seq);
     auto pos = completions_.end();
     while (pos != completions_.begin() && *(pos - 1) < done) --pos;
     pos = completions_.insert(pos, done);
@@ -538,7 +542,7 @@ void Core::stage_issue() {
            (pos + 1 == completions_.end() || done > *(pos + 1)));
     ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(r));
     --iq_occupancy_;
-    if (!di->is_branch()) note_eligible(di->seq);
+    if (!di->is_branch()) note_eligible(seq);
     ++issued;
   }
   if (issued > 0 || stats_.shadow_stall_cycles != stalls_before) {
@@ -546,7 +550,7 @@ void Core::stage_issue() {
   }
 }
 
-bool Core::execute(DynInst& di) {
+Cycle Core::execute(DynInst& di) {
   Cycle latency = config_.alu_latency;
 
   switch (di.inst.op) {
@@ -585,7 +589,7 @@ bool Core::execute(DynInst& di) {
       // forwards its data.
       const Addr word = di.effective_addr >> 3;
       const DynInst* forwarding_store = nullptr;
-      const SeqNum front_seq = rob_.front().seq;
+      const SeqNum front_seq = head_seq();
       for (std::size_t i = 0; i < stores_.size() && stores_[i] < di.seq;
            ++i) {
         const DynInst& store =
@@ -593,7 +597,7 @@ bool Core::execute(DynInst& di) {
         assert(store.is_store() && store.seq == stores_[i] &&
                (i == 0 || stores_[i - 1] < stores_[i]));
         if (store.state == InstState::kWaiting) {
-          return false;  // addr unknown
+          return kNeverCycle;  // addr unknown
         }
         if ((store.effective_addr >> 3) == word) forwarding_store = &store;
       }
@@ -605,7 +609,7 @@ bool Core::execute(DynInst& di) {
       }
 
       const std::optional<Cycle> translation = translate_data(di);
-      if (!translation) return false;  // shadow dTLB full: retry
+      if (!translation) return kNeverCycle;  // shadow dTLB full: retry
       if (di.fault == Fault::kUnmapped) {
         di.result = 0;
         latency = config_.hierarchy.memory_latency;
@@ -620,7 +624,7 @@ bool Core::execute(DynInst& di) {
       // nothing will be promoted at commit (§V).
       if (got.source == Source::kFull && di.walker_refs.empty()) {
         ++stats_.shadow_stall_cycles;
-        return false;  // retry next cycle; the translation is kept
+        return kNeverCycle;  // retry next cycle; the translation is kept
       }
       // P1: the speculative load observes the real data even when the
       // permission check failed — the check only bites at commit.
@@ -633,14 +637,14 @@ bool Core::execute(DynInst& di) {
       di.effective_addr =
           di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
       const std::optional<Cycle> translation = translate_data(di);
-      if (!translation) return false;
+      if (!translation) return kNeverCycle;
       latency += *translation;
       break;
     }
   }
 
   di.done_cycle = cycle_ + std::max<Cycle>(1, latency);
-  return true;
+  return di.done_cycle;
 }
 
 std::optional<Cycle> Core::translate_data(DynInst& di) {
@@ -814,10 +818,10 @@ void Core::bind_operand(SeqNum consumer, RegIndex reg, std::uint64_t& value,
 }
 
 DynInst* Core::find_by_seq(SeqNum seq) {
-  if (rob_.empty()) return nullptr;
-  const SeqNum front_seq = rob_.front().seq;
-  if (seq < front_seq || seq - front_seq >= rob_.size()) return nullptr;
-  DynInst& di = rob_[static_cast<std::size_t>(seq - front_seq)];
+  // A seq below the head wraps to an offset past the end.
+  const SeqNum offset = seq - head_seq();
+  if (offset >= rob_.size()) return nullptr;
+  DynInst& di = rob_[static_cast<std::size_t>(offset)];
   assert(di.seq == seq && "ROB seqs must be contiguous");
   return &di;
 }
@@ -849,15 +853,14 @@ void Core::wake_dependents(const DynInst& producer) {
   // inert or a genuine dependent that re-bound under the reused seq.
   if (!producer.dep_overflow) {
     for (int i = 0; i < producer.dep_count; ++i) {
-      if (DynInst* di = find_by_seq(producer.deps[i])) deliver(*di);
+      if (DynInst* di = find_by_seq(producer.dependent(i))) deliver(*di);
     }
     return;
   }
   // Overflow (more dependents than the inline list holds): walk the
   // younger ROB suffix, starting one past the producer's slot.
-  const SeqNum front_seq = rob_.front().seq;
   for (std::size_t i =
-           static_cast<std::size_t>(producer.seq - front_seq) + 1;
+           static_cast<std::size_t>(producer.seq - head_seq()) + 1;
        i < rob_.size(); ++i) {
     deliver(rob_[i]);
   }

@@ -36,7 +36,8 @@
 // disambiguation visits only the older entries of an in-order store queue
 // (the in-flight stores' seqs), and the WFB promotion sweep visits only
 // entries that became eligible or that the frontier newly uncovered.
-// Dispatch and fetch build each DynInst/FetchedInst in its ring slot.
+// Dispatch and fetch build each DynInst/FetchedInst in its ring slot,
+// and a DynInst is built without a zeroing pass over it first.
 // step() is the exact one-cycle reference; after a step in which no stage
 // acted, quiet_until() names the next cycle any stage can act, and
 // skip_quiet() jumps the clock there (sim::Simulator::run does both).
@@ -331,9 +332,12 @@ class Core {
   bool rob_full() const {
     return static_cast<int>(rob_.size()) >= config_.rob_entries;
   }
-  /// O(1): ROB sequence numbers are contiguous (dispatch appends
-  /// next_seq_++; squash/commit only pop the ends), so an in-flight seq's
-  /// slot is seq - rob_.front().seq.
+  /// The ROB head's seq, or next_seq_ when the ROB is empty. ROB seqs
+  /// are contiguous (dispatch appends next_seq_++; squash/commit only pop
+  /// the ends, and a squash rewinds next_seq_) and end just below
+  /// next_seq_, so this reads no entry.
+  SeqNum head_seq() const { return next_seq_ - rob_.size(); }
+  /// O(1): an in-flight seq's slot is seq - head_seq().
   DynInst* find_by_seq(SeqNum seq);
   /// Delivers `producer`'s result to its consumers; a consumer whose last
   /// operand arrives joins the ready list.
@@ -356,9 +360,10 @@ class Core {
   }
 
   /// Issues one instruction (computes result / performs memory access
-  /// side effects). Returns false when the instruction cannot issue this
+  /// side effects). Returns its completion cycle, also stored in
+  /// di.done_cycle, or kNeverCycle when the instruction cannot issue this
   /// cycle (memory ordering or shadow-stall) and must retry.
-  bool execute(DynInst& di);
+  Cycle execute(DynInst& di);
 
   /// What served a line lookup or a translation.
   enum class Source : std::uint8_t {

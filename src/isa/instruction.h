@@ -73,18 +73,21 @@ enum class CondOp : std::uint8_t {
 inline constexpr RegIndex kLinkReg = 31;
 
 /// One static instruction. Plain value type; `Program` owns the stream.
+/// The two 8-byte fields come first so the seven 1-byte ones pack behind
+/// them: 24 bytes, which every fetch-queue slot, ROB entry and program
+/// text page carries.
 struct Instruction {
+  /// Immediate operand: ALU operand-2 when use_imm, load/store/indirect
+  /// displacement, or kMovImm payload.
+  std::int64_t imm = 0;
+  /// Static target of kBranch (taken direction), kJump, kCall.
+  Addr target = 0;
   OpClass op = OpClass::kNop;
   AluOp alu = AluOp::kAdd;
   CondOp cond = CondOp::kEq;
   RegIndex dst = kZeroReg;
   RegIndex src1 = kZeroReg;
   RegIndex src2 = kZeroReg;
-  /// Immediate operand: ALU operand-2 when use_imm, load/store/indirect
-  /// displacement, or kMovImm payload.
-  std::int64_t imm = 0;
-  /// Static target of kBranch (taken direction), kJump, kCall.
-  Addr target = 0;
   /// ALU operand 2 comes from imm instead of R[src2].
   bool use_imm = false;
 
@@ -104,6 +107,8 @@ struct Instruction {
            dst != kZeroReg;
   }
 };
+
+static_assert(sizeof(Instruction) == 24, "Instruction packs into 24 bytes");
 
 /// Evaluates an ALU/MUL/DIV operation. Division by zero yields all-ones
 /// (matching x86's #DE being out of scope — workloads never divide by 0;

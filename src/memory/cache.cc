@@ -44,12 +44,12 @@ int Cache::owner_of(Addr line) const {
   return slot == SetAssoc::kNone ? -1 : store_.owner(slot);
 }
 
-std::optional<Addr> Cache::fill(Addr line, int owner) {
+Addr Cache::fill(Addr line, int owner) {
   ++tick_;
   const int set = store_.set_of(line);
   // Already present (refresh recency, no eviction) or a free way.
   std::size_t slot = store_.resident_or_empty(set, line);
-  std::optional<Addr> evicted;
+  Addr evicted = kNoEviction;
   if (slot == SetAssoc::kNone) {
     // Evict. Under kSharp the victim prefers requester-owned ways and a
     // forced cross-owner eviction raises an alarm; kDetectOnly keeps the

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/stats.h"
@@ -67,11 +66,14 @@ class Cache {
   /// receivers use the *timed* path instead; probe() is for tests.
   bool probe(Addr line) const;
 
+  /// fill()'s result when no line was evicted. No line equals it.
+  static constexpr Addr kNoEviction = SetAssoc::kEmpty;
+
   /// Inserts a line, evicting if needed. Returns the evicted line (for
-  /// inclusive back-invalidation) or nullopt if a free/duplicate way was
-  /// used. Filling a line already present just refreshes it. `owner` is
-  /// recorded as the line's owning context.
-  std::optional<Addr> fill(Addr line, int owner = 0);
+  /// inclusive back-invalidation) or kNoEviction if a free/duplicate way
+  /// was used. Filling a line already present just refreshes it. `owner`
+  /// is recorded as the line's owning context.
+  Addr fill(Addr line, int owner = 0);
 
   /// Removes a line if present (clflush / back-invalidate). Returns
   /// whether it was present.

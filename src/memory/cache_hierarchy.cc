@@ -40,12 +40,14 @@ AccessOutcome SharedLevels::access_below_l1(Addr line, bool fill,
 void SharedLevels::fill_shared(Addr line, int owner) {
   // Inclusive hierarchy: insert bottom-up; an L3/L2 eviction
   // back-invalidates the levels above it — in *every* attached core.
-  if (const auto evicted = l3_.fill(line, owner); evicted.has_value()) {
-    l2_.invalidate(*evicted);
-    back_invalidate_l1s(*evicted);
+  if (const Addr evicted = l3_.fill(line, owner);
+      evicted != Cache::kNoEviction) {
+    l2_.invalidate(evicted);
+    back_invalidate_l1s(evicted);
   }
-  if (const auto evicted = l2_.fill(line, owner); evicted.has_value()) {
-    back_invalidate_l1s(*evicted);
+  if (const Addr evicted = l2_.fill(line, owner);
+      evicted != Cache::kNoEviction) {
+    back_invalidate_l1s(evicted);
   }
 }
 

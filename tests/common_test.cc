@@ -307,23 +307,10 @@ TEST(PagedAddrMapTest, HugeKeysFallBackToOverflow) {
   EXPECT_EQ(*m.find(7), 1u);
 }
 
-TEST(PagedAddrMapProperty, MatchesAddrMapOnRandomStreams) {
-  // Differential check against the flat hash map across a mix of dense,
-  // page-straddling, and overflow-range keys.
-  Rng rng(2026);
-  PagedAddrMap<std::uint64_t> paged;
-  AddrMap<std::uint64_t> reference;
-  for (int i = 0; i < 20000; ++i) {
-    Addr key;
-    switch (rng.below(3)) {
-      case 0: key = rng.below(1 << 14); break;            // dense
-      case 1: key = rng.below(1u << 31); break;           // sparse direct
-      default: key = (Addr{1} << 40) + rng.below(1000); break;  // overflow
-    }
-    const std::uint64_t value = rng.next();
-    paged[key] = value;
-    reference[key] = value;
-  }
+/// Checks `paged` against `reference` both ways: find() returns every
+/// reference value, and for_each visits exactly the reference's keys.
+void expect_same_entries(const PagedAddrMap<std::uint64_t>& paged,
+                         const AddrMap<std::uint64_t>& reference) {
   EXPECT_EQ(paged.size(), reference.size());
   reference.for_each([&paged](Addr k, std::uint64_t v) {
     const std::uint64_t* got = paged.find(k);
@@ -338,6 +325,47 @@ TEST(PagedAddrMapProperty, MatchesAddrMapOnRandomStreams) {
     EXPECT_EQ(*ref, v) << k;
   });
   EXPECT_EQ(seen, reference.size());
+}
+
+TEST(PagedAddrMapProperty, MatchesAddrMapOnRandomStreams) {
+  // Differential check against the flat hash map across a mix of dense,
+  // page-straddling, and overflow-range keys: `count` keys, the direct
+  // ones at or above `low`.
+  Rng rng(2026);
+  const auto write_keys = [&rng](PagedAddrMap<std::uint64_t>& paged,
+                                 AddrMap<std::uint64_t>& reference, Addr low,
+                                 std::uint64_t sparse_span, int count) {
+    for (int i = 0; i < count; ++i) {
+      Addr key;
+      switch (rng.below(3)) {
+        case 0: key = low + rng.below(1 << 14); break;     // dense
+        case 1: key = low + rng.below(sparse_span); break;  // sparse direct
+        default: key = (Addr{1} << 40) + rng.below(1000); break;  // overflow
+      }
+      const std::uint64_t value = rng.next();
+      paged[key] = value;
+      reference[key] = value;
+    }
+  };
+  PagedAddrMap<std::uint64_t> paged;
+  AddrMap<std::uint64_t> reference;
+  write_keys(paged, reference, 0, 1u << 31, 20000);
+  expect_same_entries(paged, reference);
+
+  // Copies share pages until one side writes: two rounds on a map whose
+  // first keys sit high, a copy, then one round on each side. Each
+  // round's keys start below the earlier rounds', on pages both hold.
+  PagedAddrMap<std::uint64_t> high;
+  AddrMap<std::uint64_t> high_reference;
+  write_keys(high, high_reference, Addr{3} << 28, 1 << 20, 3000);
+  write_keys(high, high_reference, Addr{1} << 28, 1 << 20, 3000);
+  expect_same_entries(high, high_reference);
+  PagedAddrMap<std::uint64_t> copy = high;
+  AddrMap<std::uint64_t> copy_reference = high_reference;
+  write_keys(high, high_reference, Addr{1} << 27, 1 << 20, 3000);
+  write_keys(copy, copy_reference, 0, 1 << 20, 3000);
+  expect_same_entries(high, high_reference);
+  expect_same_entries(copy, copy_reference);
 }
 
 TEST(PagedAddrMapTest, DeepCopyIsIndependent) {

@@ -3,12 +3,15 @@
 // corner cases that the end-to-end attack tests exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "cpu/dyn_inst.h"
 #include "isa/program.h"
 #include "safespec/policy.h"
+#include "sim/functional.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
 
@@ -601,6 +604,146 @@ TEST(StoreQueue, FullStoreQueueStallsDispatchAndDrainsInOrder) {
         policy, sim::machine_preset("skylake").core.stq_entries);
     EXPECT_GT(full_stq, table1) << policy << ": dispatch stalled";
   }
+}
+
+// ---- compact DynInst encodings ------------------------------------------------
+// A producer records its in-flight consumers as seq offsets (at most
+// DynInst::kMaxDeps, then a younger-suffix scan), and a load's page-walker
+// refs live inline up to WalkerRefs::kInline, then in an overflow vector.
+// These cases reach the fallbacks and the stale-offset re-validation.
+
+/// The registers a FunctionalEngine run of `program` ends with, over
+/// copies of `s`'s memory and page table as they stand.
+std::array<std::uint64_t, kNumArchRegs> functional_regs(
+    const isa::Program& program, sim::Simulator& s) {
+  memory::MainMemory mem = s.memory();
+  memory::PageTable page_table = s.page_table();
+  sim::FunctionalEngine engine(&program, &mem, &page_table);
+  EXPECT_EQ(engine.run(100'000), cpu::StopReason::kHalted);
+  std::array<std::uint64_t, kNumArchRegs> regs{};
+  for (int r = 0; r < kNumArchRegs; ++r) {
+    regs[static_cast<std::size_t>(r)] = engine.reg(static_cast<RegIndex>(r));
+  }
+  return regs;
+}
+
+/// Runs `s` to its halt and compares every register with `expected`.
+void expect_halts_with(sim::Simulator& s,
+                       const std::array<std::uint64_t, kNumArchRegs>& expected,
+                       const std::string& cell) {
+  ASSERT_EQ(s.run().stop, cpu::StopReason::kHalted) << cell;
+  for (int r = 0; r < kNumArchRegs; ++r) {
+    EXPECT_EQ(s.core().reg(static_cast<RegIndex>(r)),
+              expected[static_cast<std::size_t>(r)])
+        << cell << " r" << r;
+  }
+}
+
+TEST(Wakeup, FullAndOverflowingDependentListsWakeEveryConsumer) {
+  // The consumers bind r3 while the 20-cycle divide that writes it is in
+  // flight, every other one through both operands. kMaxDeps of them fill
+  // the inline dependent list, each woken through its own offset; twice
+  // as many overflow it, and wakeup scans the younger suffix instead.
+  for (const int consumers :
+       {cpu::DynInst::kMaxDeps, 2 * cpu::DynInst::kMaxDeps}) {
+    ProgramBuilder b(0x1000);
+    b.movi(1, 1000).movi(2, 7);
+    b.alu(AluOp::kDiv, 3, 1, 2);
+    for (int i = 0; i < consumers; ++i) {
+      const auto dst = static_cast<RegIndex>(4 + i);
+      if (i % 2 == 0) {
+        b.alui(AluOp::kAdd, dst, 3, i);
+      } else {
+        b.alu(AluOp::kAdd, dst, 3, 3);
+      }
+    }
+    b.halt();
+    auto prog = b.build();
+    prog.set_entry(0x1000);
+    for (const auto& policy : policy::registered_policy_names()) {
+      auto s = make_policy_sim(prog, policy);
+      const auto expected = functional_regs(prog, *s);
+      EXPECT_EQ(expected[3], 142u);
+      expect_halts_with(*s, expected,
+                        policy + " consumers=" + std::to_string(consumers));
+    }
+  }
+}
+
+TEST(Wakeup, StaleDependentOffsetsAfterASquashRewindAreInert) {
+  // The load writing r3 misses to memory. Before it returns, the
+  // mispredicted branch squashes three of its consumers and the correct
+  // path reuses their seqs, so the load's recorded offsets now name
+  // (1) a load that binds r3 again, (2) an add waiting on that load, not
+  // on r3, and (3) an add that binds r3 again. Only (1) and (3) may take
+  // r3's value.
+  constexpr Addr kData = 0x7F9000;
+  constexpr Addr kSlow = 0x7FA000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kSlow);
+  b.load(3, 1, 0);  // cold miss: kData
+  b.branch(CondOp::kEq, kZeroReg, kZeroReg, "skip");  // always taken; cold
+                                                      // counters predict not
+  b.alui(AluOp::kAdd, 4, 3, 1);  // wrong path: three consumers of r3
+  b.alui(AluOp::kAdd, 5, 3, 2);
+  b.alu(AluOp::kAdd, 6, 3, 3);
+  b.halt();
+  b.label("skip");
+  b.load(7, 3, 0);               // (1) reuses r4's seq
+  b.alui(AluOp::kAdd, 8, 7, 5);  // (2) reuses r5's seq
+  b.alui(AluOp::kAdd, 9, 3, 7);  // (3) reuses r6's seq
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  for (const auto& policy : policy::registered_policy_names()) {
+    auto s = make_policy_sim(prog, policy);
+    s->map_region(kData, kPageSize);
+    s->map_region(kSlow, kPageSize);
+    s->poke(kSlow, kData);
+    s->poke(kData, 0x77);
+    const auto expected = functional_regs(prog, *s);
+    EXPECT_EQ(expected[8], 0x77u + 5);
+    expect_halts_with(*s, expected, policy);
+    EXPECT_GE(s->core().stats().mispredicts, 1u) << policy;
+  }
+}
+
+TEST(WalkerRefs, StallRetriesSpillPastTheInlineRefsAndDrain) {
+  // A two-entry stalling shadow dTLB: the cold loads to kSlow and kA hold
+  // both entries until they commit, so the load to kB finds the table
+  // full and re-walks the page table every cycle until an entry frees.
+  // Each walk takes the walker lines' shadow d-cache refs again, far
+  // more than the inline refs hold. All of them must be released or
+  // promoted by the end of the run.
+  constexpr Addr kSlow = 0x7FB000;
+  constexpr Addr kA = 0x7FC000;
+  constexpr Addr kB = 0x7FD000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kSlow).movi(2, kA).movi(3, kB);
+  b.load(4, 1, 0);
+  b.load(5, 2, 0);
+  b.load(6, 3, 0);
+  b.alu(AluOp::kAdd, 7, 4, 5).alu(AluOp::kAdd, 7, 7, 6);
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.shadow_dtlb.entries = 2;
+  config.shadow_dtlb.full_policy = shadow::FullPolicy::kStall;
+  auto s = make_policy_sim(prog, "WFC", config);
+  for (const Addr page : {kSlow, kA, kB}) s->map_region(page, kPageSize);
+  s->poke(kSlow, 1);
+  s->poke(kA, 20);
+  s->poke(kB, 300);
+  const auto expected = functional_regs(prog, *s);
+  EXPECT_EQ(expected[7], 321u);
+  expect_halts_with(*s, expected, "WFC");
+  EXPECT_GT(s->core().shadow_dtlb().stats().full_stalls.value(),
+            static_cast<std::uint64_t>(cpu::DynInst::WalkerRefs::kInline));
+  EXPECT_EQ(s->core().shadow_dcache().live_count(), 0);
+  EXPECT_EQ(s->core().shadow_icache().live_count(), 0);
+  EXPECT_EQ(s->core().shadow_dtlb().live_count(), 0);
+  EXPECT_EQ(s->core().shadow_itlb().live_count(), 0);
 }
 
 TEST(ShadowItlb, FullStallingTableRetriesFetchEachCycle) {

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -104,9 +103,7 @@ TEST(Cache, LruEvictsLeastRecentlyUsed) {
   c.fill(48);
   // Touch 0 so 16 becomes LRU.
   EXPECT_TRUE(c.access(0));
-  const auto evicted = c.fill(64);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 16u);
+  EXPECT_EQ(c.fill(64), 16u);
   EXPECT_TRUE(c.probe(0));
   EXPECT_FALSE(c.probe(16));
 }
@@ -119,9 +116,7 @@ TEST(Cache, SpeculativeAccessDoesNotUpdateRecency) {
   c.fill(48);
   // Speculative touch of 0 must NOT rescue it from LRU.
   EXPECT_TRUE(c.access(0, /*update_replacement=*/false));
-  const auto evicted = c.fill(64);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 0u);
+  EXPECT_EQ(c.fill(64), 0u);
 }
 
 TEST(Cache, StatsQuietAccessCountsNothing) {
@@ -142,7 +137,7 @@ TEST(Cache, RefillOfResidentLineDoesNotEvict) {
   Cache c(small_cache());
   c.fill(0);
   c.fill(16);
-  EXPECT_FALSE(c.fill(0).has_value());
+  EXPECT_EQ(c.fill(0), Cache::kNoEviction);
   EXPECT_TRUE(c.probe(16));
 }
 
@@ -228,7 +223,7 @@ TEST(Replacement, VictimChoiceIsOwnerBlind) {
   }
   const auto by_owner0 = a.fill(4 * 16, /*owner=*/0);
   EXPECT_EQ(by_owner0, b.fill(4 * 16, /*owner=*/1));
-  EXPECT_EQ(by_owner0, std::optional<Addr>(0));
+  EXPECT_EQ(by_owner0, 0u);
 }
 
 TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
@@ -284,9 +279,11 @@ TEST(Replacement, NonPowerOfTwoSetsIndexByModuloAndEvictLruWithinSet) {
   for (Addr line = 0; line < 30; ++line) {
     EXPECT_EQ(c.set_of(line), static_cast<int>(line % 3)) << line;
   }
-  for (Addr line = 0; line < 6; ++line) EXPECT_FALSE(c.fill(line));
+  for (Addr line = 0; line < 6; ++line) {
+    EXPECT_EQ(c.fill(line), Cache::kNoEviction);
+  }
   EXPECT_TRUE(c.access(0));  // set 0 holds {0, 3}; 3 becomes LRU
-  EXPECT_EQ(c.fill(6), std::optional<Addr>(3));
+  EXPECT_EQ(c.fill(6), 3u);
   for (Addr line : {0, 1, 2, 4, 5, 6}) EXPECT_TRUE(c.probe(line)) << line;
   EXPECT_FALSE(c.probe(3));
 }
@@ -356,8 +353,7 @@ void expect_reference_draws(const CacheConfig& cfg, int fills,
                       order.below(static_cast<Addr>(sets) * 64);
     const int set = static_cast<int>(line % sets);
     const auto way = reference[set].below(cfg.ways);
-    const auto evicted = c.fill(line, owner_of_fill(i));
-    ASSERT_EQ(evicted, std::optional<Addr>(ways[set][way])) << "fill " << i;
+    ASSERT_EQ(c.fill(line, owner_of_fill(i)), ways[set][way]) << "fill " << i;
     ways[set][way] = line;
   }
 }
@@ -436,9 +432,7 @@ TEST(Cache, CrossOwnerEvictionAttribution) {
   EXPECT_EQ(c.owner_of(0), 0);
   EXPECT_EQ(c.cross_owner_evictions(), 0u);
   // Owner 1 overflows the set: the LRU victim (line 0) belonged to owner 0.
-  const auto evicted = c.fill(4 * 16, /*owner=*/1);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 0u);
+  EXPECT_EQ(c.fill(4 * 16, /*owner=*/1), 0u);
   EXPECT_EQ(c.owner_of(4 * 16), 1);
   EXPECT_EQ(c.cross_owner_evictions(), 1u);
 }
